@@ -1,8 +1,9 @@
 #include "graph/generators.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
-#include <unordered_set>
 
 #include "support/logging.hpp"
 #include "support/rng.hpp"
@@ -70,6 +71,105 @@ class AliasTable
     std::vector<std::uint32_t> alias_;
 };
 
+/**
+ * Flat open-addressing set of undirected edges packed as (u << 32) | v
+ * with u < v, so the all-zero key never occurs and marks an empty
+ * slot. Linear probing at a load factor of at most 2/3.
+ */
+class EdgeSet
+{
+  public:
+    explicit EdgeSet(std::uint64_t max_size)
+        : slots_(std::bit_ceil(std::max<std::uint64_t>(
+              4, max_size + max_size / 2))),
+          mask_(slots_.size() - 1),
+          shift_(64 - std::countr_zero(slots_.size()))
+    {
+    }
+
+    static std::uint64_t
+    key(VertexId u, VertexId v)
+    {
+        return (static_cast<std::uint64_t>(u) << 32) | v;
+    }
+
+    /** Hint the cache to load @p k's home slot ahead of insert(). */
+    void
+    prefetch(std::uint64_t k) const
+    {
+        __builtin_prefetch(&slots_[home(k)]);
+    }
+
+    /** Insert @p k; false when it was already present. */
+    bool
+    insert(std::uint64_t k)
+    {
+        for (std::uint64_t i = home(k);; i = (i + 1) & mask_) {
+            if (slots_[i] == k)
+                return false;
+            if (slots_[i] == 0) {
+                slots_[i] = k;
+                ++size_;
+                return true;
+            }
+        }
+    }
+
+    std::uint64_t size() const { return size_; }
+
+  private:
+    std::uint64_t
+    home(std::uint64_t k) const
+    {
+        // Fibonacci hashing: the product's top bits mix every key bit.
+        return (k * 0x9e3779b97f4a7c15ULL) >> shift_;
+    }
+
+    std::vector<std::uint64_t> slots_;
+    std::uint64_t mask_;
+    int shift_;
+    std::uint64_t size_ = 0;
+};
+
+/**
+ * Draw endpoint pairs from @p draw until @p m distinct edges exist or
+ * @p attempt_limit draws (self-loops included) have been made, and
+ * build the graph of the distinct edges. The draw stream never
+ * depends on the dedup outcome, so pairs are drawn a block ahead and
+ * each one's table slot is prefetched before it is probed; draws
+ * past the stopping point are discarded unseen.
+ */
+template <typename Draw>
+Graph
+uniqueEdgeGraph(VertexId n, std::uint64_t m, std::uint64_t attempt_limit,
+                Draw &&draw)
+{
+    constexpr std::uint64_t block = 16;
+    EdgeSet unique(m);
+    GraphBuilder builder(n);
+    std::array<std::uint64_t, block> keys{};
+    std::uint64_t attempts = 0;
+    while (unique.size() < m && attempts < attempt_limit) {
+        const std::uint64_t count =
+            std::min(block, attempt_limit - attempts);
+        for (std::uint64_t i = 0; i < count; ++i) {
+            auto [u, v] = draw();
+            if (u > v)
+                std::swap(u, v);
+            keys[i] = u == v ? 0 : EdgeSet::key(u, v);
+            unique.prefetch(keys[i]);
+        }
+        for (std::uint64_t i = 0; i < count && unique.size() < m; ++i) {
+            ++attempts;
+            if (keys[i] != 0 && unique.insert(keys[i])) {
+                builder.addEdge(static_cast<VertexId>(keys[i] >> 32),
+                                static_cast<VertexId>(keys[i]));
+            }
+        }
+    }
+    return builder.build();
+}
+
 } // namespace
 
 Graph
@@ -82,43 +182,11 @@ erdosRenyi(VertexId n, std::uint64_t m, std::uint64_t seed)
         sisa_fatal("erdosRenyi: m=", m, " exceeds n(n-1)/2=", max_edges);
 
     Xoshiro256 rng(seed);
-    GraphBuilder builder(n);
-    // Oversample to survive duplicate collapses, then trim in build();
-    // for the sparse graphs we target the overshoot is tiny.
-    std::uint64_t added = 0;
-    std::uint64_t attempts = 0;
-    const std::uint64_t attempt_limit = 40 * m + 1000;
-    std::vector<std::pair<VertexId, VertexId>> seen;
-    while (added < m && attempts < attempt_limit) {
-        ++attempts;
-        auto u = static_cast<VertexId>(rng.nextBounded(n));
-        auto v = static_cast<VertexId>(rng.nextBounded(n));
-        if (u == v)
-            continue;
-        if (u > v)
-            std::swap(u, v);
-        seen.emplace_back(u, v);
-        ++added;
-    }
-    std::sort(seen.begin(), seen.end());
-    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-    // Top up after dedup so the edge count is exact where possible.
-    while (seen.size() < m && attempts < attempt_limit) {
-        ++attempts;
-        auto u = static_cast<VertexId>(rng.nextBounded(n));
-        auto v = static_cast<VertexId>(rng.nextBounded(n));
-        if (u == v)
-            continue;
-        if (u > v)
-            std::swap(u, v);
-        auto it = std::lower_bound(seen.begin(), seen.end(),
-                                   std::make_pair(u, v));
-        if (it == seen.end() || *it != std::make_pair(u, v))
-            seen.insert(it, {u, v});
-    }
-    for (auto [u, v] : seen)
-        builder.addEdge(u, v);
-    return builder.build();
+    return uniqueEdgeGraph(n, m, 40 * m + 1000, [&] {
+        const auto u = static_cast<VertexId>(rng.nextBounded(n));
+        const auto v = static_cast<VertexId>(rng.nextBounded(n));
+        return std::pair{u, v};
+    });
 }
 
 Graph
@@ -244,28 +312,14 @@ chungLu(const ChungLuParams &params, std::uint64_t seed)
 
     AliasTable alias(weights);
     Xoshiro256 rng(seed);
-    GraphBuilder builder(n);
     // Draw endpoint pairs until m *unique* edges exist (duplicates
     // concentrate on hub pairs, so heavy-tailed targets need the
     // uniqueness bookkeeping to land near m).
-    std::unordered_set<std::uint64_t> unique;
-    unique.reserve(params.m * 2);
-    const std::uint64_t attempt_limit = 30 * params.m + 1000;
-    std::uint64_t attempts = 0;
-    while (unique.size() < params.m && attempts < attempt_limit) {
-        ++attempts;
-        VertexId u = alias.sample(rng);
-        VertexId v = alias.sample(rng);
-        if (u == v)
-            continue;
-        if (u > v)
-            std::swap(u, v);
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(u) << 32) | v;
-        if (unique.insert(key).second)
-            builder.addEdge(u, v);
-    }
-    return builder.build();
+    return uniqueEdgeGraph(n, params.m, 30 * params.m + 1000, [&] {
+        const VertexId u = alias.sample(rng);
+        const VertexId v = alias.sample(rng);
+        return std::pair{u, v};
+    });
 }
 
 Graph

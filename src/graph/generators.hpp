@@ -8,6 +8,16 @@
  * Substitution 2): Chung-Lu power-law graphs with controllable tail
  * weight plus planted dense communities that mimic the large cliques
  * of genome-style graphs.
+ *
+ * Contract: every generated graph is a pure function of its (params,
+ * seed) -- same edge set, same CSR, on every run and platform; the
+ * fingerprint tests pin this. The random-edge generators (erdosRenyi,
+ * chungLu) draw endpoint pairs from one seeded stream until m
+ * distinct edges exist or the attempt limit is hit, and that stream
+ * never depends on the dedup outcome: the i-th pair drawn is the same
+ * whether or not earlier pairs were duplicates. Dedup runs through a
+ * flat open-addressing table, so synthesis is linear in the number of
+ * draws.
  */
 
 #ifndef SISA_GRAPH_GENERATORS_HPP
@@ -20,7 +30,10 @@
 
 namespace sisa::graph {
 
-/** G(n, m) Erdos-Renyi: m distinct uniform edges. */
+/**
+ * G(n, m) Erdos-Renyi: m distinct uniform edges (fewer only if
+ * 40m + 1000 draws do not reach m).
+ */
 Graph erdosRenyi(VertexId n, std::uint64_t m, std::uint64_t seed);
 
 /** Complete graph K_n. */
@@ -72,7 +85,8 @@ struct ChungLuParams
 
 /**
  * Chung-Lu power-law graph: endpoints of each edge are drawn with
- * probability proportional to per-vertex weights w_v ~ v^{-1/(exp-1)}.
+ * probability proportional to per-vertex weights w_v ~ v^{-1/(exp-1)},
+ * until m distinct edges exist or 30m + 1000 pairs have been drawn.
  */
 Graph chungLu(const ChungLuParams &params, std::uint64_t seed);
 

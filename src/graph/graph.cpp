@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 
 #include "support/logging.hpp"
@@ -56,14 +57,21 @@ Graph::orientByRank(const std::vector<std::uint32_t> &rank) const
     sisa_assert(!directed_, "orientByRank expects an undirected graph");
     sisa_assert(rank.size() == numVertices_, "rank size mismatch");
 
-    GraphBuilder builder(numVertices_, /*directed=*/true);
+    // Rows are sorted and duplicate-free, so filtering them in order
+    // yields the oriented CSR directly.
+    Graph oriented;
+    oriented.numVertices_ = numVertices_;
+    oriented.directed_ = true;
+    oriented.offsets_.resize(static_cast<std::size_t>(numVertices_) + 1);
+    oriented.adj_.reserve(numEdges_);
     for (VertexId u = 0; u < numVertices_; ++u) {
         for (VertexId v : neighbors(u)) {
             if (rank[u] < rank[v])
-                builder.addEdge(u, v);
+                oriented.adj_.push_back(v);
         }
+        oriented.offsets_[u + 1] = oriented.adj_.size();
     }
-    Graph oriented = builder.build();
+    oriented.numEdges_ = oriented.adj_.size();
     if (hasVertexLabels())
         oriented.vertexLabels_ = vertexLabels_;
     return oriented;
@@ -136,42 +144,60 @@ GraphBuilder::addEdge(VertexId u, VertexId v)
 Graph
 GraphBuilder::build()
 {
-    // Canonicalize undirected edges so duplicates collapse, then mirror.
-    std::vector<std::pair<VertexId, VertexId>> arcs;
-    arcs.reserve(directed_ ? edges_.size() : edges_.size() * 2);
-    for (auto [u, v] : edges_) {
-        if (directed_) {
-            arcs.emplace_back(u, v);
-        } else {
-            arcs.emplace_back(std::min(u, v), std::max(u, v));
+    // Two counting-sort passes, with no comparison sort: bucket every
+    // arc (and its mirror when undirected) by target, then walk the
+    // targets in increasing order appending each to its source's row.
+    // Every row comes out sorted, so duplicates sit side by side and
+    // are dropped while the rows are compacted leftwards.
+    const auto for_each_arc = [&](auto &&fn) {
+        for (const auto &[u, v] : edges_) {
+            fn(u, v);
+            if (!directed_)
+                fn(v, u);
         }
-    }
-    std::sort(arcs.begin(), arcs.end());
-    arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
-
-    const std::uint64_t num_edges = arcs.size();
-    if (!directed_) {
-        const std::size_t unique_count = arcs.size();
-        for (std::size_t i = 0; i < unique_count; ++i)
-            arcs.emplace_back(arcs[i].second, arcs[i].first);
-        std::sort(arcs.begin(), arcs.end());
-    }
-
+    };
+    const std::size_t n = numVertices_;
     Graph graph;
     graph.numVertices_ = numVertices_;
-    graph.numEdges_ = num_edges;
     graph.directed_ = directed_;
-    graph.offsets_.assign(numVertices_ + 1, 0);
-    graph.adj_.resize(arcs.size());
+    auto &offsets = graph.offsets_;
+    auto &adj = graph.adj_;
+    offsets.assign(n + 1, 0);
+    std::vector<std::uint64_t> bucket(n + 1, 0);
+    for_each_arc([&](VertexId u, VertexId v) {
+        ++offsets[u + 1];
+        ++bucket[v];
+    });
+    // offsets[u] starts row u; bucket[v] ends v's bucket until the
+    // scatter walks it back to the bucket's start.
+    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+    std::partial_sum(bucket.begin(), bucket.end(), bucket.begin());
+    std::vector<VertexId> sources(offsets[n]);
+    for_each_arc([&](VertexId u, VertexId v) { sources[--bucket[v]] = u; });
+    std::vector<std::pair<VertexId, VertexId>>().swap(edges_);
 
-    for (const auto &[u, v] : arcs)
-        ++graph.offsets_[u + 1];
-    for (VertexId v = 0; v < numVertices_; ++v)
-        graph.offsets_[v + 1] += graph.offsets_[v];
-    for (std::size_t i = 0; i < arcs.size(); ++i)
-        graph.adj_[i] = arcs[i].second;
+    adj.resize(offsets[n]);
+    std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (VertexId v = 0; v < numVertices_; ++v) {
+        for (std::uint64_t i = bucket[v]; i < bucket[v + 1]; ++i)
+            adj[cursor[sources[i]]++] = v;
+    }
+    std::vector<VertexId>().swap(sources);
 
-    edges_.clear();
+    VertexId *data = adj.data();
+    std::uint64_t out = 0;
+    for (VertexId u = 0; u < numVertices_; ++u) {
+        VertexId *first = data + offsets[u];
+        VertexId *last = std::unique(first, data + offsets[u + 1]);
+        if (out != offsets[u])
+            std::copy(first, last, data + out);
+        offsets[u] = out;
+        out += static_cast<std::uint64_t>(last - first);
+    }
+    offsets[n] = out;
+    adj.resize(out);
+    adj.shrink_to_fit();
+    graph.numEdges_ = directed_ ? out : out / 2;
     return graph;
 }
 

@@ -118,7 +118,8 @@ class Graph
     /**
      * Orient an undirected graph by a total vertex order: keep arc
      * u -> v iff rank[u] < rank[v]. Used with the degeneracy order to
-     * bound out-degrees by the degeneracy c (Section 7.1).
+     * bound out-degrees by the degeneracy c (Section 7.1). Filters the
+     * sorted rows straight into the oriented CSR in O(n + m).
      *
      * @param rank rank[v] is the position of v in the order.
      */
@@ -149,6 +150,14 @@ class Graph
  * Accumulates edges and materializes a CSR Graph. Duplicate edges and
  * self-loops are dropped; for undirected graphs both directions are
  * stored.
+ *
+ * The built graph depends only on the queued edge multiset, never on
+ * the order edges were added. build() is two counting-sort passes:
+ * it buckets every arc (and its mirror) by target, then walks the
+ * targets in increasing order appending each to its source's row, so
+ * rows come out sorted and are deduplicated in place. O(n + m) time
+ * and memory, with no comparison sort -- neither a global sort of
+ * edge pairs nor a per-row sort.
  */
 class GraphBuilder
 {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <set>
 #include <sstream>
 
 #include "graph/dataset_registry.hpp"
@@ -10,6 +11,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
@@ -73,6 +75,150 @@ TEST(GraphBuilder, DirectedKeepsArcDirection)
     EXPECT_TRUE(g.hasEdge(0, 1));
     EXPECT_FALSE(g.hasEdge(1, 0));
     EXPECT_EQ(g.numEdges(), 2u);
+}
+
+// --- Randomized differential: GraphBuilder vs a std::set reference ---
+
+using Arc = std::pair<VertexId, VertexId>;
+
+/** The arcs a builder must store: self-loops gone, mirrors added. */
+std::set<Arc>
+referenceArcs(const std::vector<Arc> &edges, bool directed)
+{
+    std::set<Arc> arcs;
+    for (auto [u, v] : edges) {
+        if (u == v)
+            continue;
+        arcs.emplace(u, v);
+        if (!directed)
+            arcs.emplace(v, u);
+    }
+    return arcs;
+}
+
+/** Offsets, adjacency and numEdges() must equal the reference CSR. */
+void
+expectCsr(const Graph &g, VertexId n, bool directed,
+          const std::set<Arc> &arcs)
+{
+    ASSERT_EQ(g.numVertices(), n);
+    ASSERT_EQ(g.directed(), directed);
+    EXPECT_EQ(g.numEdges(), directed ? arcs.size() : arcs.size() / 2);
+    std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+    std::vector<VertexId> adj;
+    for (auto [u, v] : arcs) { // std::set order: by u, then by v.
+        ++offsets[u + 1];
+        adj.push_back(v);
+    }
+    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+    ASSERT_EQ(std::vector<std::uint64_t>(g.offsetsData(),
+                                         g.offsetsData() + n + 1),
+              offsets);
+    EXPECT_EQ(std::vector<VertexId>(g.adjData(), g.adjData() + adj.size()),
+              adj);
+}
+
+Graph
+buildFrom(VertexId n, bool directed, const std::vector<Arc> &edges)
+{
+    GraphBuilder b(n, directed);
+    for (auto [u, v] : edges)
+        b.addEdge(u, v);
+    EXPECT_EQ(b.pendingEdges(),
+              static_cast<std::uint64_t>(std::count_if(
+                  edges.begin(), edges.end(),
+                  [](const Arc &e) { return e.first != e.second; })));
+    return b.build();
+}
+
+/**
+ * One random edge multiset: endpoints from [0, span) so vertices
+ * span..n-1 stay isolated, with exact repeats, reversed repeats and
+ * self-loops mixed in.
+ */
+std::vector<Arc>
+randomEdges(sisa::support::Xoshiro256 &rng, VertexId span, std::size_t count)
+{
+    std::vector<Arc> edges;
+    for (std::size_t i = 0; i < count; ++i) {
+        const auto u = static_cast<VertexId>(rng.nextBounded(span));
+        const auto v = static_cast<VertexId>(rng.nextBounded(span));
+        edges.emplace_back(u, v);
+        switch (rng.nextBounded(4)) {
+          case 0: edges.emplace_back(u, v); break;
+          case 1: edges.emplace_back(v, u); break;
+          case 2: edges.emplace_back(u, u); break;
+          default: break;
+        }
+    }
+    return edges;
+}
+
+/** Builder, orientByRank and inducedSubgraph vs the reference. */
+void
+checkAgainstReference(VertexId n, bool directed,
+                      const std::vector<Arc> &edges,
+                      sisa::support::Xoshiro256 &rng)
+{
+    const std::set<Arc> arcs = referenceArcs(edges, directed);
+    const Graph g = buildFrom(n, directed, edges);
+    expectCsr(g, n, directed, arcs);
+
+    std::vector<VertexId> perm(n);
+    std::iota(perm.begin(), perm.end(), 0);
+    for (VertexId i = n; i > 1; --i)
+        std::swap(perm[i - 1], perm[rng.nextBounded(i)]);
+
+    if (!directed) {
+        // perm doubles as a random total order.
+        std::set<Arc> oriented;
+        for (auto [u, v] : arcs) {
+            if (perm[u] < perm[v])
+                oriented.emplace(u, v);
+        }
+        expectCsr(g.orientByRank(perm), n, true, oriented);
+    }
+
+    // A random vertex subset in random order, re-numbered densely.
+    const auto keep = static_cast<VertexId>(rng.nextBounded(n + 1));
+    const std::vector<VertexId> subset(perm.begin(), perm.begin() + keep);
+    std::vector<VertexId> remap(n, invalid_vertex);
+    for (VertexId i = 0; i < keep; ++i)
+        remap[subset[i]] = i;
+    std::set<Arc> induced;
+    for (auto [u, v] : arcs) {
+        if (remap[u] != invalid_vertex && remap[v] != invalid_vertex)
+            induced.emplace(remap[u], remap[v]);
+    }
+    expectCsr(g.inducedSubgraph(subset), keep, directed, induced);
+}
+
+TEST(GraphBuilder, RandomizedDifferentialAgainstSetReference)
+{
+    sisa::support::Xoshiro256 rng(2024);
+    for (bool directed : {false, true}) {
+        SCOPED_TRACE(directed ? "directed" : "undirected");
+        // n = 0 and n = 1 (a lone self-loop).
+        checkAgainstReference(0, directed, {}, rng);
+        checkAgainstReference(1, directed, {{0, 0}}, rng);
+        for (int round = 0; round < 60; ++round) {
+            const auto n = static_cast<VertexId>(2 + rng.nextBounded(200));
+            // Every third round leaves a tail of isolated vertices.
+            const auto span = round % 3 == 0
+                                  ? static_cast<VertexId>(1 + n / 2)
+                                  : n;
+            const std::size_t count = rng.nextBounded(std::uint64_t{4} * n);
+            checkAgainstReference(n, directed,
+                                  randomEdges(rng, span, count), rng);
+        }
+        // A hub row fed thousands of repeats in both directions.
+        std::vector<Arc> hub;
+        for (VertexId i = 0; i < 6000; ++i) {
+            const VertexId v = 1 + i % 37;
+            hub.emplace_back(i % 2 ? 0 : v, i % 2 ? v : 0);
+        }
+        checkAgainstReference(50, directed, hub, rng);
+    }
 }
 
 TEST(Graph, EdgeIndexFindsPosition)
@@ -345,6 +491,7 @@ TEST(Io, MalformedInputThrowsTypedError)
         {"0 1\n1 2 3\n", 2},      // trailing junk
         {"12junk 1\n", 1},        // junk glued to a number
         {"0 1\n1 4294967296\n", 2}, // VertexId overflow
+        {"0 1\n1 4294967295\n", 2}, // invalid_vertex: n would wrap to 0
         {"0 1\n1 1e3\n", 2},      // exponent notation
     };
     for (const auto &[text, line] : cases) {
