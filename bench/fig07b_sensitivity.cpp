@@ -76,7 +76,7 @@ main()
             {support::TextTable::formatDouble(t, 1),
              support::TextTable::formatDouble(
                  static_cast<double>(ctx.makespan()) / 1e6, 3),
-             std::to_string(ctx.counter("scu.pum_ops"))});
+             std::to_string(ctx.counter(sim::Counter::PumOps))});
     }
     undirected.print(std::cout);
     std::cout << "\nShape check: the undirected sweep is U-shaped "

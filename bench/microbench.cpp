@@ -352,18 +352,32 @@ runKernelSweep(const std::string &json_path)
     // column) vs as one dispatchBatch through the multi-threaded
     // vault worker pool ("vector" column). Host wall-clock; the
     // speedup scales with host cores (recorded as host_threads in
-    // the JSON).
+    // the JSON). The 4x64 row is the bk-dense dispatch shape -- a
+    // handful of ops on tiny sets, one host worker -- where the fixed
+    // per-dispatch cost (front end, lane build, per-worker context
+    // setup and counter merge) dominates the set kernels.
     {
-        constexpr std::size_t ops = 64;
-        for (const std::size_t size :
-             {std::size_t{1} << 12, std::size_t{1} << 16}) {
+        struct DispatchShape
+        {
+            const char *name;
+            std::size_t ops;
+            std::size_t size;      ///< Elements per set.
+            std::uint32_t workers; ///< 0 = hardware concurrency.
+        };
+        for (const DispatchShape &shape :
+             {DispatchShape{"batched_dispatch_64x4k", 64, 1u << 12, 0},
+              DispatchShape{"batched_dispatch_64x64k", 64, 1u << 16, 0},
+              DispatchShape{"batched_dispatch_4x64", 4, 64, 1}}) {
+            const std::size_t ops = shape.ops;
             const Element universe = 1u << 20;
-            core::SisaEngine eng(universe, isa::ScuConfig{}, 1);
+            isa::ScuConfig cfg;
+            cfg.batchWorkers = shape.workers;
+            core::SisaEngine eng(universe, cfg, 1);
             sim::SimContext setup_ctx(1);
             std::vector<core::SetId> ids;
             for (std::size_t s = 0; s < ops + 1; ++s) {
                 const SortedArraySet set =
-                    randomSet(s + 1, universe, size);
+                    randomSet(s + 1, universe, shape.size);
                 ids.push_back(eng.create(
                     setup_ctx, 0,
                     std::vector<Element>(set.begin(), set.end()),
@@ -373,8 +387,7 @@ runKernelSweep(const std::string &json_path)
             for (std::size_t s = 0; s < ops; ++s)
                 req.intersectCard(ids[s], ids[s + 1]);
 
-            const std::string suffix = std::to_string(size >> 10) + "k";
-            add("batched_dispatch_64x" + suffix, size,
+            add(shape.name, shape.size,
                 timeNs([&] {
                     sim::SimContext ctx(1);
                     std::uint64_t total = 0;
@@ -417,8 +430,8 @@ runKernelSweep(const std::string &json_path)
             bench::RunOutcome out =
                 bench::runProblem("tc", g, bench::Mode::Sisa, rc);
             return PlacementRun{
-                out.ctx->counter("setops.xvault_bytes") +
-                    out.ctx->counter("setops.migration_bytes"),
+                out.ctx->counter(sim::Counter::XvaultBytes) +
+                    out.ctx->counter(sim::Counter::MigrationBytes),
                 out.cycles};
         };
         // hash vs locality placement (primary routing): the PR 3 row.
@@ -498,9 +511,9 @@ runKernelSweep(const std::string &json_path)
             bench::RunOutcome out =
                 bench::runProblem("tc", g, bench::Mode::Sisa, rc);
             return PlacementRun{
-                out.ctx->counter("setops.xvault_bytes") +
-                    out.ctx->counter("setops.migration_bytes") +
-                    out.ctx->counter("setops.recovery_bytes"),
+                out.ctx->counter(sim::Counter::XvaultBytes) +
+                    out.ctx->counter(sim::Counter::MigrationBytes) +
+                    out.ctx->counter(sim::Counter::RecoveryBytes),
                 out.cycles};
         };
         const PlacementRun faulted = run_faulted();

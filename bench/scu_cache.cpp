@@ -36,9 +36,9 @@ run(const graph::Graph &g, std::uint32_t threads,
     const RunOutcome outcome =
         runProblem("kcc-4", g, Mode::Sisa, config);
     const double hits = static_cast<double>(
-        outcome.ctx->counter("scu.smb_hits"));
+        outcome.ctx->counter(sim::Counter::SmbHits));
     const double misses = static_cast<double>(
-        outcome.ctx->counter("scu.smb_misses"));
+        outcome.ctx->counter(sim::Counter::SmbMisses));
     return {outcome.cycles,
             hits + misses == 0.0 ? 0.0 : hits / (hits + misses)};
 }

@@ -43,7 +43,8 @@ runTc(const graph::Graph &g, core::SisaOp variant)
     policy.t = 0.0; // Pure SA so the op counters see all the work.
     algorithms::OrientedSetGraph osg(g, eng, policy);
     algorithms::triangleCount(osg, ctx, variant);
-    return {ctx.counter("setops.streamed"), ctx.counter("setops.probes")};
+    return {ctx.counter(sim::Counter::StreamedElements),
+            ctx.counter(sim::Counter::Probes)};
 }
 
 WorkSample
@@ -55,7 +56,8 @@ runKcc(const graph::Graph &g, std::uint32_t k, core::SisaOp variant)
     policy.t = 0.0;
     algorithms::OrientedSetGraph osg(g, eng, policy);
     algorithms::kCliqueCount(osg, ctx, k, variant);
-    return {ctx.counter("setops.streamed"), ctx.counter("setops.probes")};
+    return {ctx.counter(sim::Counter::StreamedElements),
+            ctx.counter(sim::Counter::Probes)};
 }
 
 double

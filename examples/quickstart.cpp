@@ -76,17 +76,17 @@ main()
                 static_cast<unsigned long long>(ctx.makespan()));
     std::printf("  PUM bulk-bitwise ops: %llu\n",
                 static_cast<unsigned long long>(
-                    ctx.counter("scu.pum_ops")));
+                    ctx.counter(sim::Counter::PumOps)));
     std::printf("  PNM streaming ops:    %llu\n",
                 static_cast<unsigned long long>(
-                    ctx.counter("scu.pnm_stream_ops")));
+                    ctx.counter(sim::Counter::PnmStreamOps)));
     std::printf("  PNM random ops:       %llu\n",
                 static_cast<unsigned long long>(
-                    ctx.counter("scu.pnm_random_ops")));
+                    ctx.counter(sim::Counter::PnmRandomOps)));
     std::printf("  SMB hits/misses:      %llu/%llu\n",
                 static_cast<unsigned long long>(
-                    ctx.counter("scu.smb_hits")),
+                    ctx.counter(sim::Counter::SmbHits)),
                 static_cast<unsigned long long>(
-                    ctx.counter("scu.smb_misses")));
+                    ctx.counter(sim::Counter::SmbMisses)));
     return 0;
 }

@@ -5,14 +5,12 @@
 namespace sisa::mem {
 
 Region
-AddressSpace::allocate(const std::string &name, std::uint64_t bytes)
+AddressSpace::allocate(std::uint64_t bytes)
 {
     Region region;
-    region.name = name;
     region.base = next_;
     region.bytes = bytes;
     next_ += support::alignUp(bytes == 0 ? 1 : bytes, page_);
-    regions_.push_back(region);
     return region;
 }
 

@@ -12,18 +12,15 @@
 #define SISA_MEM_ADDRESS_SPACE_HPP
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace sisa::mem {
 
 /** Synthetic virtual address. */
 using Addr = std::uint64_t;
 
-/** A named, page-aligned synthetic allocation. */
+/** A page-aligned synthetic allocation. */
 struct Region
 {
-    std::string name;
     Addr base = 0;
     std::uint64_t bytes = 0;
 
@@ -35,14 +32,18 @@ struct Region
     }
 };
 
-/** Bump allocator over a synthetic virtual address space. */
+/**
+ * Bump allocator over a synthetic virtual address space. It keeps no
+ * per-allocation log: a Region is the caller's only record, so the
+ * allocator stays O(1) in memory however many sets a run creates.
+ */
 class AddressSpace
 {
   public:
     AddressSpace() = default;
 
-    /** Allocate @p bytes (page aligned) under @p name. */
-    Region allocate(const std::string &name, std::uint64_t bytes);
+    /** Allocate @p bytes at the next page boundary. */
+    Region allocate(std::uint64_t bytes);
 
     /** Total bytes allocated so far. */
     std::uint64_t allocated() const { return next_ - base_; }
@@ -51,7 +52,6 @@ class AddressSpace
     static constexpr Addr base_ = 0x10000000ULL;
     static constexpr std::uint64_t page_ = 4096;
     Addr next_ = base_;
-    std::vector<Region> regions_;
 };
 
 } // namespace sisa::mem

@@ -56,8 +56,7 @@ SimContext::absorbQueryAccounting(const SimContext &other)
         QueryAccount &mine = queryAccounts_[query];
         mine.busy += account.busy;
         mine.stall += account.stall;
-        for (const auto &[name, value] : account.counters)
-            mine.counters[name] += value;
+        mine.counters.absorb(account.counters);
     }
 }
 
@@ -149,30 +148,38 @@ SimContext::totalPatterns() const
 }
 
 void
-SimContext::bumpCounter(const std::string &name, std::uint64_t delta)
-{
-    counters_[name] += delta;
-    if (activeQuery_ != no_query)
-        queryAccounts_[activeQuery_].counters[name] += delta;
-}
-
-void
 SimContext::absorbCounters(const SimContext &other)
 {
-    for (const auto &[name, value] : other.counters_)
-        counters_[name] += value;
-    for (const auto &[query, account] : other.queryAccounts_) {
-        QueryAccount &mine = queryAccounts_[query];
-        for (const auto &[name, value] : account.counters)
-            mine.counters[name] += value;
-    }
+    counters_.absorb(other.counters_);
+    for (const auto &[query, account] : other.queryAccounts_)
+        queryAccounts_[query].counters.absorb(account.counters);
 }
 
 std::uint64_t
-SimContext::counter(const std::string &name) const
+SimContext::counter(std::string_view name) const
 {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
+    const std::optional<Counter> id = counterByName(name);
+    sisa_assert(id.has_value(), "unknown counter '", name, "'");
+    return counters_[*id];
+}
+
+std::optional<Counter>
+counterByName(std::string_view name)
+{
+    const auto it = std::lower_bound(counter_names.begin(),
+                                     counter_names.end(), name);
+    if (it == counter_names.end() || *it != name)
+        return std::nullopt;
+    return static_cast<Counter>(it - counter_names.begin());
+}
+
+std::map<std::string, std::uint64_t>
+CounterSet::toMap() const
+{
+    std::map<std::string, std::uint64_t> out;
+    for (const auto &[name, value] : *this)
+        out.emplace_hint(out.end(), name, value);
+    return out;
 }
 
 } // namespace sisa::sim

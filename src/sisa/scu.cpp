@@ -11,6 +11,7 @@
 namespace sisa::isa {
 
 using sets::OpWork;
+using sim::Counter;
 
 Scu::Scu(SetStore &store, const ScuConfig &config,
          std::uint32_t num_threads)
@@ -40,7 +41,7 @@ Scu::chargeMetadata(sim::SimContext &ctx, sim::ThreadId tid, SetId id)
     if (!config_.smbEnabled) {
         // SM lives in memory: every lookup is a DRAM access.
         ctx.chargeBusy(tid, config_.pim.dramLatency);
-        ctx.bumpCounter("scu.sm_dram_lookups");
+        ctx.bumpCounter(Counter::SmDramLookups);
         return;
     }
     mem::Cache &smb = config_.smbShared ? *smbs_[0] : *smbs_[tid];
@@ -51,7 +52,7 @@ Scu::chargeMetadata(sim::SimContext &ctx, sim::ThreadId tid, SetId id)
     if (!hit)
         latency += config_.pim.dramLatency;
     ctx.chargeBusy(tid, latency);
-    ctx.bumpCounter(hit ? "scu.smb_hits" : "scu.smb_misses");
+    ctx.bumpCounter(hit ? Counter::SmbHits : Counter::SmbMisses);
 }
 
 // --- Section 8.3 cost predictors ------------------------------------------
@@ -112,7 +113,7 @@ Scu::chargePum(sim::SimContext &ctx, sim::ThreadId tid,
                std::uint64_t n_bits, std::uint32_t row_ops)
 {
     ctx.chargeBusy(tid, pumCost(n_bits, row_ops));
-    ctx.bumpCounter("scu.pum_ops");
+    ctx.bumpCounter(Counter::PumOps);
     lastBackend_ = Backend::Pum;
 }
 
@@ -121,7 +122,7 @@ Scu::chargePnmStream(sim::SimContext &ctx, sim::ThreadId tid,
                      std::uint64_t max_elems)
 {
     ctx.chargeBusy(tid, streamCost(max_elems));
-    ctx.bumpCounter("scu.pnm_stream_ops");
+    ctx.bumpCounter(Counter::PnmStreamOps);
     lastBackend_ = Backend::PnmStream;
 }
 
@@ -130,7 +131,7 @@ Scu::chargePnmRandom(sim::SimContext &ctx, sim::ThreadId tid,
                      std::uint64_t probes)
 {
     ctx.chargeBusy(tid, randomCost(probes));
-    ctx.bumpCounter("scu.pnm_random_ops");
+    ctx.bumpCounter(Counter::PnmRandomOps);
     lastBackend_ = Backend::PnmRandom;
 }
 
@@ -141,8 +142,8 @@ Scu::chargeMixedProbe(sim::SimContext &ctx, sim::ThreadId tid,
     const MixedPlan plan = mixedProbePlan(array_size);
     ctx.chargeBusy(tid, plan.cycles);
     ctx.bumpCounter(plan.backend == Backend::PnmStream
-                        ? "scu.pnm_stream_ops"
-                        : "scu.pnm_random_ops");
+                        ? Counter::PnmStreamOps
+                        : Counter::PnmRandomOps);
     lastBackend_ = plan.backend;
 }
 
@@ -151,10 +152,10 @@ Scu::recordWork(sim::SimContext &ctx, const OpWork &work)
 {
     // Bulk counters from the kernel layer (one O(1) charge per set
     // operation; see the formula table in sets/operations.hpp).
-    ctx.bumpCounter("setops.streamed", work.streamedElements);
-    ctx.bumpCounter("setops.probes", work.probes);
-    ctx.bumpCounter("setops.words", work.bitvectorWords);
-    ctx.bumpCounter("setops.output", work.outputElements);
+    ctx.bumpCounter(Counter::StreamedElements, work.streamedElements);
+    ctx.bumpCounter(Counter::Probes, work.probes);
+    ctx.bumpCounter(Counter::BitvectorWords, work.bitvectorWords);
+    ctx.bumpCounter(Counter::OutputElements, work.outputElements);
 }
 
 bool
@@ -404,26 +405,26 @@ Scu::chargeOutcome(sim::SimContext &ctx, sim::ThreadId tid,
         ctx.chargeBusy(tid, charge.cycles);
         switch (charge.backend) {
           case Backend::Pum:
-            ctx.bumpCounter("scu.pum_ops");
+            ctx.bumpCounter(Counter::PumOps);
             break;
           case Backend::PnmStream:
-            ctx.bumpCounter("scu.pnm_stream_ops");
+            ctx.bumpCounter(Counter::PnmStreamOps);
             break;
           case Backend::PnmRandom:
-            ctx.bumpCounter("scu.pnm_random_ops");
+            ctx.bumpCounter(Counter::PnmRandomOps);
             break;
           case Backend::None:
             break;
         }
     }
     if (outcome.shortCircuited)
-        ctx.bumpCounter("scu.short_circuits");
+        ctx.bumpCounter(Counter::ShortCircuits);
     if (outcome.faultRetries) {
         // The retry penalty executeOp accumulated (wasted executions,
         // failed verifies, backoff) lands on the lane that owns the
         // op -- pure delay, never extra setops.* work.
         ctx.chargeBusy(tid, outcome.faultCycles);
-        ctx.bumpCounter("scu.retries", outcome.faultRetries);
+        ctx.bumpCounter(Counter::Retries, outcome.faultRetries);
     }
     recordWork(ctx, outcome.work);
 }
@@ -844,7 +845,7 @@ Scu::admitDispatch(sim::SimContext &ctx, sim::ThreadId tid)
         return;
     cancelled_ = true;
     cancelVerdict_ = verdict;
-    ctx.bumpCounter("scu.cancel_drains");
+    ctx.bumpCounter(Counter::CancelDrains);
     (void)tid; // The window's bound thread pays the drain.
     cancelWindow();
     throw QueryCancelledError(query_, verdict);
@@ -866,7 +867,7 @@ Scu::cancelWindow()
     const mem::Cycles now = nowV();
     if (maxCompletionV_ > now) {
         ctx.chargeStall(tid, maxCompletionV_ - now);
-        ctx.bumpCounter("setops.cancelled_cycles",
+        ctx.bumpCounter(Counter::CancelledCycles,
                         maxCompletionV_ - now);
     }
     windowCtx_ = nullptr;
@@ -982,7 +983,7 @@ Scu::quarantineVault(sim::SimContext &ctx, sim::ThreadId tid,
             evacuees.push_back(id);
     });
     quarantine_.add(vault); // Throws when no live vault would remain.
-    ctx.bumpCounter("scu.quarantines");
+    ctx.bumpCounter(Counter::Quarantines);
     const std::uint32_t target = quarantine_.remap(vault);
     for (const SetId id : evacuees) {
         // Emergency migration: the payload streams once over the
@@ -996,7 +997,7 @@ Scu::quarantineVault(sim::SimContext &ctx, sim::ThreadId tid,
         if (bytes) {
             ctx.chargeBusy(tid,
                            mem::interconnectCycles(config_.pim, bytes));
-            ctx.bumpCounter("setops.recovery_bytes", bytes);
+            ctx.bumpCounter(Counter::RecoveryBytes, bytes);
         }
     }
 }
@@ -1292,20 +1293,20 @@ Scu::chargeLaneOp(sim::SimContext &wctx, sim::ThreadId lane_tid,
                     lane_tid,
                     mem::interconnectCycles(config_.pim, route.bytes) +
                         faults_->backoff(attempt));
-                wctx.bumpCounter("scu.retries");
-                wctx.bumpCounter("setops.recovery_bytes", route.bytes);
+                wctx.bumpCounter(Counter::Retries);
+                wctx.bumpCounter(Counter::RecoveryBytes, route.bytes);
                 ++attempt;
             }
         }
         wctx.chargeBusy(lane_tid, mem::interconnectCycles(
                                       config_.pim, route.bytes));
-        wctx.bumpCounter("scu.xvault_transfers");
-        wctx.bumpCounter("setops.xvault_bytes", route.bytes);
+        wctx.bumpCounter(Counter::XvaultTransfers);
+        wctx.bumpCounter(Counter::XvaultBytes, route.bytes);
         if (faults_ && faults_->config().verifyChecksums) {
             // Operand integrity: the receiving vault streams the
             // fetched payload once through its checksum unit.
             wctx.chargeBusy(lane_tid, verifyCycles(route.bytes));
-            wctx.bumpCounter("scu.checksum_verifies");
+            wctx.bumpCounter(Counter::ChecksumVerifies);
         }
         if (dynamic_) {
             // Each lane has exactly one charging thread: no
@@ -1319,7 +1320,7 @@ Scu::chargeLaneOp(sim::SimContext &wctx, sim::ThreadId lane_tid,
             // A transient lane hiccup (queue arbitration glitch,
             // refresh collision): pure stall cycles, no work.
             wctx.chargeStall(lane_tid, stall);
-            wctx.bumpCounter("scu.lane_stalls");
+            wctx.bumpCounter(Counter::LaneStalls);
         }
     }
     chargeOutcome(wctx, lane_tid, outcome);
@@ -1328,7 +1329,7 @@ Scu::chargeLaneOp(sim::SimContext &wctx, sim::ThreadId lane_tid,
         // Result integrity: checksum the result as it streams out
         // of the vault (the SCU compares on adoption).
         wctx.chargeBusy(lane_tid, verifyCycles(resultBytes(outcome)));
-        wctx.bumpCounter("scu.checksum_verifies");
+        wctx.bumpCounter(Counter::ChecksumVerifies);
     }
 }
 
@@ -1365,11 +1366,11 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
         actx.vaultOf = [this](SetId id) { return vaultOf(id); };
         analysis::Report report =
             analysis::analyze(analysis::Program::fromBatch(batch), actx);
-        ctx.bumpCounter("scu.analysis_batches");
+        ctx.bumpCounter(Counter::AnalysisBatches);
         if (report.errors > 0)
-            ctx.bumpCounter("scu.analysis_errors", report.errors);
+            ctx.bumpCounter(Counter::AnalysisErrors, report.errors);
         if (report.warnings > 0)
-            ctx.bumpCounter("scu.analysis_warnings", report.warnings);
+            ctx.bumpCounter(Counter::AnalysisWarnings, report.warnings);
         if (report.hasErrors()) {
             if (config_.analyze == AnalyzeMode::Strict) {
                 // The rejected batch never touches the scratch, but
@@ -1402,17 +1403,17 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
     std::uint64_t base_recovery = 0;
     std::uint32_t base_dead = 0;
     if (faults_) {
-        base_retries = ctx.counter("scu.retries");
-        base_stalls = ctx.counter("scu.lane_stalls");
-        base_recovery = ctx.counter("setops.recovery_bytes");
+        base_retries = ctx.counter(Counter::Retries);
+        base_stalls = ctx.counter(Counter::LaneStalls);
+        base_recovery = ctx.counter(Counter::RecoveryBytes);
         base_dead = quarantine_.deadCount();
     }
 
     // One decode for the whole batch, then one serial metadata round
     // per operand on the SCU front end (the SMB is shared state).
     ctx.chargeBusy(tid, config_.pim.scuDelay);
-    ctx.bumpCounter("scu.batch_dispatches");
-    ctx.bumpCounter("scu.batch_ops", n);
+    ctx.bumpCounter(Counter::BatchDispatches);
+    ctx.bumpCounter(Counter::BatchOps, n);
     for (const BatchOp &op : batch.ops) {
         chargeMetadata(ctx, tid, op.a);
         chargeMetadata(ctx, tid, op.b);
@@ -1766,7 +1767,7 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
             len = out;
             makespan += level;
         }
-        ctx.bumpCounter("setops.xvault_reduce_bytes", reduce_bytes);
+        ctx.bumpCounter(Counter::XvaultReduceBytes, reduce_bytes);
     }
     ctx.chargeBusy(tid, makespan);
     for (const sim::SimContext &wctx : worker_ctx)
@@ -1813,11 +1814,11 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
                 op.b);
     }
     if (faults_) {
-        result.faults.retries = ctx.counter("scu.retries") - base_retries;
+        result.faults.retries = ctx.counter(Counter::Retries) - base_retries;
         result.faults.laneStalls =
-            ctx.counter("scu.lane_stalls") - base_stalls;
+            ctx.counter(Counter::LaneStalls) - base_stalls;
         result.faults.recoveryBytes =
-            ctx.counter("setops.recovery_bytes") - base_recovery;
+            ctx.counter(Counter::RecoveryBytes) - base_recovery;
         result.faults.quarantinedVaults =
             quarantine_.deadCount() - base_dead;
         // Draw the dispatch's recovery events against the query's
@@ -1863,8 +1864,8 @@ Scu::replaceAtBarrier(sim::SimContext &ctx, sim::ThreadId tid,
         overlay_[event.id] = to;
         ctx.chargeBusy(tid, mem::interconnectCycles(config_.pim,
                                                     event.bytes));
-        ctx.bumpCounter("scu.migrations");
-        ctx.bumpCounter("setops.migration_bytes", event.bytes);
+        ctx.bumpCounter(Counter::Migrations);
+        ctx.bumpCounter(Counter::MigrationBytes, event.bytes);
     }
 
     // Age the remaining heat AFTER this barrier's decisions, so the
@@ -1944,7 +1945,7 @@ Scu::drainWindow(sim::SimContext &, sim::ThreadId)
     const mem::Cycles now = nowV();
     if (maxCompletionV_ > now)
         ctx.chargeStall(tid, maxCompletionV_ - now);
-    ctx.bumpCounter("scu.async_drains");
+    ctx.bumpCounter(Counter::AsyncDrains);
     windowCtx_ = nullptr;
     pendingTickets_.clear();
     deps_.clear();
@@ -1969,7 +1970,7 @@ Scu::syncRead(sim::SimContext &ctx, sim::ThreadId tid, SetId id)
     const mem::Cycles now = nowV();
     if (def > now) {
         ctx.chargeStall(tid, def - now);
-        ctx.bumpCounter("scu.async_syncs");
+        ctx.bumpCounter(Counter::AsyncSyncs);
     }
 }
 
@@ -1988,7 +1989,7 @@ Scu::syncWrite(sim::SimContext &ctx, sim::ThreadId tid, SetId id)
     const mem::Cycles now = nowV();
     if (horizon > now) {
         ctx.chargeStall(tid, horizon - now);
-        ctx.bumpCounter("scu.async_syncs");
+        ctx.bumpCounter(Counter::AsyncSyncs);
     }
 }
 
@@ -2051,11 +2052,11 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
         actx.vaultOf = [this](SetId id) { return vaultOf(id); };
         analysis::Report report =
             analysis::analyze(analysis::Program::fromBatch(batch), actx);
-        ctx.bumpCounter("scu.analysis_batches");
+        ctx.bumpCounter(Counter::AnalysisBatches);
         if (report.errors > 0)
-            ctx.bumpCounter("scu.analysis_errors", report.errors);
+            ctx.bumpCounter(Counter::AnalysisErrors, report.errors);
         if (report.warnings > 0)
-            ctx.bumpCounter("scu.analysis_warnings", report.warnings);
+            ctx.bumpCounter(Counter::AnalysisWarnings, report.warnings);
         if (report.hasErrors()) {
             if (config_.analyze == AnalyzeMode::Strict) {
                 maybeShrinkScratch(0);
@@ -2093,9 +2094,9 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
     std::uint64_t base_stalls = 0;
     std::uint64_t base_recovery = 0;
     if (faults_) {
-        base_retries = ctx.counter("scu.retries");
-        base_stalls = ctx.counter("scu.lane_stalls");
-        base_recovery = ctx.counter("setops.recovery_bytes");
+        base_retries = ctx.counter(Counter::Retries);
+        base_stalls = ctx.counter(Counter::LaneStalls);
+        base_recovery = ctx.counter(Counter::RecoveryBytes);
     }
 
     BatchResult result;
@@ -2105,8 +2106,8 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
     // then one serial metadata round per operand on the SCU. These
     // charges advance real time (and therefore virtual "now").
     ctx.chargeBusy(tid, config_.pim.scuDelay);
-    ctx.bumpCounter("scu.batch_dispatches");
-    ctx.bumpCounter("scu.batch_ops", n);
+    ctx.bumpCounter(Counter::BatchDispatches);
+    ctx.bumpCounter(Counter::BatchOps, n);
     for (const BatchOp &op : batch.ops) {
         chargeMetadata(ctx, tid, op.a);
         chargeMetadata(ctx, tid, op.b);
@@ -2217,7 +2218,7 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
             len = out;
             completion += level;
         }
-        ctx.bumpCounter("setops.xvault_reduce_bytes", reduce_bytes);
+        ctx.bumpCounter(Counter::XvaultReduceBytes, reduce_bytes);
         reduceEndV_ = completion;
     }
     maxCompletionV_ = std::max(maxCompletionV_, completion);
@@ -2270,11 +2271,11 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
         // were fenced to the barriered dispatch above), so the
         // quarantine count can never move here.
         result.faults.retries =
-            ctx.counter("scu.retries") - base_retries;
+            ctx.counter(Counter::Retries) - base_retries;
         result.faults.laneStalls =
-            ctx.counter("scu.lane_stalls") - base_stalls;
+            ctx.counter(Counter::LaneStalls) - base_stalls;
         result.faults.recoveryBytes =
-            ctx.counter("setops.recovery_bytes") - base_recovery;
+            ctx.counter(Counter::RecoveryBytes) - base_recovery;
         if (sched_)
             demand_.faultEvents += result.faults.retries +
                                    result.faults.laneStalls;
@@ -2288,14 +2289,14 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
     const std::uint64_t ticket = nextTicket_++;
     pendingResults_.emplace(ticket, std::move(result));
     pendingTickets_.emplace_back(ticket, completion);
-    ctx.bumpCounter("scu.async_dispatches");
+    ctx.bumpCounter(Counter::AsyncDispatches);
     while (pendingTickets_.size() > config_.asyncDepth) {
         const mem::Cycles retire = pendingTickets_.front().second;
         pendingTickets_.pop_front();
         const mem::Cycles now = nowV();
         if (retire > now) {
             ctx.chargeStall(tid, retire - now);
-            ctx.bumpCounter("scu.async_syncs");
+            ctx.bumpCounter(Counter::AsyncSyncs);
         }
     }
     reportDispatch(ctx);

@@ -716,8 +716,9 @@ TEST(ServingLifecycle, CancelMidWindowLeavesSurvivorsBitIdentical)
     EXPECT_FALSE(doomed.deadlineMet);
     // The cancellation drained the victim's async window exactly once
     // and charged the drain to the victim, not to a co-tenant.
-    ASSERT_EQ(doomed.account.counters.count("scu.cancel_drains"), 1u);
-    EXPECT_EQ(doomed.account.counters.at("scu.cancel_drains"), 1u);
+    ASSERT_TRUE(
+        doomed.account.counters.touched(sim::Counter::CancelDrains));
+    EXPECT_EQ(doomed.account.counters[sim::Counter::CancelDrains], 1u);
     // The drain's stall lands in the victim's own tagged account.
     EXPECT_EQ(doomed.ownCycles, doomed.account.cycles());
 

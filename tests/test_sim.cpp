@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "sim/context.hpp"
 #include "sim/cpu_model.hpp"
 
@@ -106,10 +109,87 @@ TEST(Context, SetSizeTrace)
 TEST(Context, Counters)
 {
     SimContext ctx(1);
-    ctx.bumpCounter("x");
-    ctx.bumpCounter("x", 4);
-    EXPECT_EQ(ctx.counter("x"), 5u);
-    EXPECT_EQ(ctx.counter("missing"), 0u);
+    ctx.bumpCounter(Counter::PumOps);
+    ctx.bumpCounter(Counter::PumOps, 4);
+    ctx.bumpCounter(Counter::Probes, 0); // Touched, still zero.
+    EXPECT_EQ(ctx.counter(Counter::PumOps), 5u);
+    EXPECT_EQ(ctx.counter("scu.pum_ops"), 5u);
+    // A registry counter never bumped reads 0 and is absent by name.
+    EXPECT_EQ(ctx.counter(Counter::Retries), 0u);
+    EXPECT_EQ(ctx.counter("scu.retries"), 0u);
+    const std::map<std::string, std::uint64_t> expect{
+        {"scu.pum_ops", 5}, {"setops.probes", 0}};
+    EXPECT_EQ(ctx.counters(), expect);
+}
+
+TEST(Context, AbsorbCountersAddsElementWiseAndUnionsKeys)
+{
+    SimContext ctx(1), worker_a(2), worker_b(1);
+    ctx.bumpCounter(Counter::PumOps, 2);
+    worker_a.bumpCounter(Counter::PumOps, 3);
+    worker_a.bumpCounter(Counter::XvaultBytes, 64);
+    worker_b.bumpCounter(Counter::LaneStalls, 0);
+    worker_b.chargeBusy(0, 100); // Cycles never merge.
+    ctx.absorbCounters(worker_a);
+    ctx.absorbCounters(worker_b);
+    const std::map<std::string, std::uint64_t> expect{
+        {"scu.lane_stalls", 0},
+        {"scu.pum_ops", 5},
+        {"setops.xvault_bytes", 64}};
+    EXPECT_EQ(ctx.counters(), expect);
+    EXPECT_EQ(ctx.threadBusy(0), 0u);
+}
+
+TEST(Context, QueryBoundBumpsLandInTheAccount)
+{
+    SimContext ctx(1), worker(1);
+    ctx.bumpCounter(Counter::BatchOps, 7); // Unbound: context only.
+    ctx.bindQuery(4);
+    ctx.bumpCounter(Counter::BatchOps, 2);
+    ctx.bumpCounter(Counter::Retries, 0);
+    ctx.chargeBusy(0, 10);
+    worker.bindQuery(4);
+    worker.bumpCounter(Counter::SmbHits, 3);
+    worker.chargeBusy(0, 50);
+    ctx.absorbCounters(worker);
+
+    EXPECT_EQ(ctx.counter(Counter::BatchOps), 9u);
+    EXPECT_EQ(ctx.counter(Counter::SmbHits), 3u);
+    const QueryAccount &account = ctx.queryAccount(4);
+    const std::map<std::string, std::uint64_t> expect{
+        {"scu.batch_ops", 2}, {"scu.retries", 0}, {"scu.smb_hits", 3}};
+    EXPECT_EQ(account.counters.toMap(), expect);
+    // absorbCounters moves the account's counters, not its cycles.
+    EXPECT_EQ(account.busy, 10u);
+    EXPECT_TRUE(ctx.queryAccount(5).counters.toMap().empty());
+
+    // absorbQueryAccounting moves counters AND cycles.
+    SimContext aggregate(1);
+    aggregate.absorbQueryAccounting(ctx);
+    EXPECT_EQ(aggregate.queryAccount(4).counters, account.counters);
+    EXPECT_EQ(aggregate.queryAccount(4).busy, 10u);
+    EXPECT_TRUE(aggregate.counters().empty());
+}
+
+TEST(Context, RegistryNamesRoundTrip)
+{
+    EXPECT_EQ(counter_names.size(), 31u);
+    for (std::size_t i = 0; i < counter_count; ++i) {
+        const auto id = static_cast<Counter>(i);
+        ASSERT_EQ(counterByName(counter_names[i]), id);
+    }
+    EXPECT_EQ(counter_names[static_cast<std::size_t>(
+                  Counter::StreamedElements)],
+              "setops.streamed");
+    EXPECT_FALSE(counterByName("scu.pum_op").has_value());
+    EXPECT_FALSE(counterByName("x").has_value());
+}
+
+TEST(ContextDeathTest, UnknownCounterNameFailsLoudly)
+{
+    SimContext ctx(1);
+    EXPECT_DEATH(ctx.counter("scu.retires"), "unknown counter");
+    EXPECT_DEATH(ctx.counter("missing"), "unknown counter");
 }
 
 // --- CPU model -------------------------------------------------------------

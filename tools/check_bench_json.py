@@ -65,6 +65,9 @@ REQUIRED_ROWS = (
     "intersect_kernel_64k",
     "union_kernel_64k",
     "batched_dispatch_1vault_512x64",
+    # Fixed per-dispatch host cost on the bk-dense dispatch shape
+    # (4 intersect-card ops on 64-element sets, one host worker).
+    "batched_dispatch_4x64",
 )
 
 
