@@ -17,10 +17,14 @@
  *  - lane stalls: a vault lane loses stallCycles of progress once
  *    (modeled as a memory stall on the lane);
  *  - permanent vault failures: from the given dispatch on, the vault
- *    is dead. The SCU's heartbeat watchdog times out, the vault is
- *    quarantined, resident sets are emergency-migrated off it, and
- *    the dead lanes' operations re-route and re-execute elsewhere
- *    (see Scu::dispatchBatch).
+ *    is dead and its lanes fail-stop. The SCU's watchdog (modeled
+ *    from this injector's failure schedule: it fires
+ *    heartbeatTimeout cycles after the healthy barrier) times out,
+ *    the vault is quarantined, resident sets are emergency-migrated
+ *    off it, and the dead lanes' operations re-route and re-execute
+ *    elsewhere. Recovery is barrier-shaped: an async window fences a
+ *    dispatch carrying fail points onto the barriered path (see
+ *    Scu::dispatchBatch / Scu::dispatchAsync).
  *
  * Every decision is a pure splitmix64-style hash over (seed, fault
  * channel, coordinates): stateless, thread-safe, independent of
@@ -51,7 +55,7 @@ namespace sisa::isa {
 /** Inject result corruption at one exact (dispatch, op) coordinate. */
 struct CorruptionPoint
 {
-    std::uint64_t dispatch = 0; ///< dispatchBatch sequence number.
+    std::uint64_t dispatch = 0; ///< Batch dispatch sequence number.
     std::uint32_t op = 0;       ///< Op index within the batch.
     std::uint32_t attempts = 1; ///< Corrupt this many attempts in a row.
 };

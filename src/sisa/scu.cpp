@@ -1,6 +1,8 @@
 #include "sisa/scu.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <ranges>
 #include <thread>
 #include <unordered_set>
 
@@ -852,35 +854,6 @@ Scu::admitDispatch(sim::SimContext &ctx, sim::ThreadId tid)
 }
 
 void
-Scu::cancelWindow()
-{
-    if (!windowCtx_)
-        return;
-    // Same settlement as drainWindow -- the bound thread pays the
-    // pending modeled completions -- but booked as cancellation
-    // cost: the abandoned batches' vault time was already spent on
-    // the shared clocks, so it must be priced, not dropped. The
-    // uncollected tickets' functional results die with the session's
-    // store; only the timing ledger survives into the leave() tail.
-    sim::SimContext &ctx = *windowCtx_;
-    const sim::ThreadId tid = windowTid_;
-    const mem::Cycles now = nowV();
-    if (maxCompletionV_ > now) {
-        ctx.chargeStall(tid, maxCompletionV_ - now);
-        ctx.bumpCounter(Counter::CancelledCycles,
-                        maxCompletionV_ - now);
-    }
-    windowCtx_ = nullptr;
-    pendingTickets_.clear();
-    deps_.clear();
-    laneClockV_.clear();
-    maxCompletionV_ = 0;
-    reduceEndV_ = 0;
-    if (pool_)
-        pool_->setBeatAccumulation(false);
-}
-
-void
 Scu::reportDispatch(const sim::SimContext &ctx)
 {
     if (!sched_)
@@ -1039,73 +1012,93 @@ Scu::preExecuteOutcomes(const BatchRequest &batch,
         /*steal=*/true);
 }
 
-void
-Scu::scheduleBalanced(const BatchRequest &batch)
+namespace {
+
+/** Balanced-scheduler key of "operand @p id already in @p vault". */
+std::uint64_t
+fetchKey(std::uint32_t vault, SetId id)
 {
-    const std::size_t n = batch.size();
-    schedLoads_.reset(std::max<std::uint32_t>(config_.pim.vaults, 1));
-    schedFetched_.clear();
-    schedOrder_.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i)
-        schedOrder_[i] = i;
+    return (static_cast<std::uint64_t>(vault) << 32) | id;
+}
+
+} // namespace
+
+mem::Cycles
+Scu::lptSweep(const BatchRequest &batch, std::vector<std::uint32_t> &order,
+              bool write_routes)
+{
     // LPT order: most expensive operations choose their vault first
-    // (stable, so equal-cost ops keep request order -- deterministic).
-    std::stable_sort(schedOrder_.begin(), schedOrder_.end(),
+    // (stable, so equal-cost ops keep their incoming order --
+    // deterministic).
+    std::stable_sort(order.begin(), order.end(),
                      [&](std::uint32_t x, std::uint32_t y) {
                          return outcomeCycles(outcomes_[x]) >
                                 outcomeCycles(outcomes_[y]);
                      });
-
-    const auto fetch_key = [](std::uint32_t vault, SetId id) {
-        return (static_cast<std::uint64_t>(vault) << 32) | id;
-    };
-    // Pass 1 -- LPT list scheduling on completion time alone: each
-    // op goes to whichever operand vault finishes it first,
-    // lane_depth + exec + interconnect(co-operand left remote), with
-    // the once-per-(vault, operand) transfer dedup the charge path
-    // applies priced in (so the scheduled depths equal the billed
-    // lane cycles exactly). This pass only SIMULATES loads to
-    // establish the makespan M* a balanced schedule achieves; every
-    // route is written by pass 2, which re-runs the sweep with byte
-    // harvesting under the M*-derived cap.
-    for (const std::uint32_t i : schedOrder_) {
+    schedLoads_.reset(std::max<std::uint32_t>(config_.pim.vaults, 1));
+    schedFetched_.clear();
+    // List scheduling on completion time alone: each op goes to
+    // whichever operand vault finishes it first, lane_depth + exec +
+    // interconnect(co-operand left remote), with the once-per-(vault,
+    // operand) transfer dedup the charge path applies priced in (so
+    // the scheduled depths equal the billed lane cycles exactly).
+    for (const std::uint32_t i : order) {
         const BatchOp &op = batch.ops[i];
         const OpOutcome &out = outcomes_[i];
         const mem::Cycles exec = outcomeCycles(out);
         const std::uint32_t va = vaultOf(op.a);
         const std::uint32_t vb = vaultOf(op.b);
-        if (va == vb) {
-            schedLoads_.add(va, exec);
-            continue;
+        OpRoute route{va, invalid_set, 0, true};
+        mem::Cycles xfer = 0;
+        if (va != vb) {
+            // The transfer each assignment would pay NOW: the co-
+            // operand footprint's interconnect cost, unless the
+            // operand is never read (short circuits, degenerate
+            // copies) or an already-scheduled op pulled it into that
+            // vault.
+            const std::uint64_t bytes_b =
+                out.readsB ? operandBytes(op.b) : 0;
+            const std::uint64_t bytes_a =
+                out.readsA ? operandBytes(op.a) : 0;
+            const mem::Cycles xfer_at_a =
+                bytes_b && !schedFetched_.count(fetchKey(va, op.b))
+                    ? mem::interconnectCycles(config_.pim, bytes_b)
+                    : 0;
+            const mem::Cycles xfer_at_b =
+                bytes_a && !schedFetched_.count(fetchKey(vb, op.a))
+                    ? mem::interconnectCycles(config_.pim, bytes_a)
+                    : 0;
+            if (schedLoads_.of(vb) + exec + xfer_at_b <
+                schedLoads_.of(va) + exec + xfer_at_a) {
+                route = {vb, op.a, operandBytes(op.a), false};
+                xfer = xfer_at_b;
+            } else {
+                route = {va, op.b, operandBytes(op.b), true};
+                xfer = xfer_at_a;
+            }
+            if (xfer)
+                schedFetched_.insert(fetchKey(route.vault, route.remote));
         }
-        // The transfer each assignment would pay NOW: the co-operand
-        // footprint's interconnect cost, unless the operand is never
-        // read (short circuits, degenerate copies) or an already-
-        // scheduled op pulled it into that vault.
-        const std::uint64_t bytes_b =
-            out.readsB ? operandBytes(op.b) : 0;
-        const std::uint64_t bytes_a =
-            out.readsA ? operandBytes(op.a) : 0;
-        const mem::Cycles xfer_at_a =
-            bytes_b && !schedFetched_.count(fetch_key(va, op.b))
-                ? mem::interconnectCycles(config_.pim, bytes_b)
-                : 0;
-        const mem::Cycles xfer_at_b =
-            bytes_a && !schedFetched_.count(fetch_key(vb, op.a))
-                ? mem::interconnectCycles(config_.pim, bytes_a)
-                : 0;
-        if (schedLoads_.of(vb) + exec + xfer_at_b <
-            schedLoads_.of(va) + exec + xfer_at_a) {
-            schedLoads_.add(vb, exec + xfer_at_b);
-            if (xfer_at_b)
-                schedFetched_.insert(fetch_key(vb, op.a));
-        } else {
-            schedLoads_.add(va, exec + xfer_at_a);
-            if (xfer_at_a)
-                schedFetched_.insert(fetch_key(va, op.b));
-        }
+        schedLoads_.add(route.vault, exec + xfer);
+        if (write_routes)
+            routes_[i] = route;
     }
-    const mem::Cycles lpt_makespan = schedLoads_.max();
+    return schedLoads_.max();
+}
+
+void
+Scu::scheduleBalanced(const BatchRequest &batch)
+{
+    const std::size_t n = batch.size();
+    schedOrder_.resize(n);
+    for (std::uint32_t i = 0; i < n; ++i)
+        schedOrder_[i] = i;
+    // Pass 1 -- the plain LPT sweep only SIMULATES loads to establish
+    // the makespan M* a balanced schedule achieves; every route is
+    // written by pass 2, which re-runs the sweep with byte harvesting
+    // under the M*-derived cap.
+    const mem::Cycles lpt_makespan =
+        lptSweep(batch, schedOrder_, /*write_routes=*/false);
 
     // Pass 2 -- transfer-aware byte harvesting: re-run the greedy
     // sweep, but among every candidate vault whose completion time
@@ -1131,7 +1124,7 @@ Scu::scheduleBalanced(const BatchRequest &batch)
     schedFetched_.clear();
     schedFetchedVaults_.clear();
     const auto pay_transfer = [&](std::uint32_t vault, SetId operand) {
-        if (schedFetched_.insert(fetch_key(vault, operand)).second)
+        if (schedFetched_.insert(fetchKey(vault, operand)).second)
             schedFetchedVaults_[operand].push_back(vault);
     };
     struct Candidate
@@ -1164,7 +1157,7 @@ Scu::scheduleBalanced(const BatchRequest &batch)
                 bool moved_is_b) -> Candidate {
             const mem::Cycles xfer =
                 moved_bytes &&
-                        !schedFetched_.count(fetch_key(vault, moved))
+                        !schedFetched_.count(fetchKey(vault, moved))
                     ? mem::interconnectCycles(config_.pim,
                                               moved_bytes)
                     : 0;
@@ -1218,18 +1211,21 @@ Scu::scheduleBalanced(const BatchRequest &batch)
     }
 }
 
+template <typename Ops>
 std::uint32_t
-Scu::buildLanes(std::size_t n)
+Scu::appendLanes(const Ops &ops)
 {
     // First-touch grouping of ops by execution vault. The scratch
-    // vault->lane table persists across dispatches; laneVault_ lists
-    // the entries to reset afterwards, so lane order (= order of
-    // first appearance) is deterministic and identical between the
-    // barriered and async paths.
+    // vault->lane table persists across dispatches; the lanes opened
+    // here are the entries to reset afterwards, so lane order (=
+    // order of first appearance) is deterministic and identical
+    // between the barriered and windowed paths. Appending after the
+    // table reset opens NEW lanes even for vaults that already have
+    // one -- the recovery lanes replay after the healthy ones.
     vaultLane_.resize(std::max<std::uint32_t>(config_.pim.vaults, 1),
                       UINT32_MAX);
-    laneVault_.clear();
-    for (std::uint32_t i = 0; i < n; ++i) {
+    const std::size_t first = laneVault_.size();
+    for (const std::uint32_t i : ops) {
         const std::uint32_t vault = routes_[i].vault;
         std::uint32_t lane = vaultLane_[vault];
         if (lane == UINT32_MAX) {
@@ -1245,9 +1241,9 @@ Scu::buildLanes(std::size_t n)
         }
         laneOps_[lane].push_back(i);
     }
-    // Lanes are fixed now: reset the table for the next dispatch.
-    for (const std::uint32_t vault : laneVault_)
-        vaultLane_[vault] = UINT32_MAX;
+    // Lanes are fixed now: reset the table for the next build.
+    for (std::size_t l = first; l < laneVault_.size(); ++l)
+        vaultLane_[laneVault_[l]] = UINT32_MAX;
     return static_cast<std::uint32_t>(laneVault_.size());
 }
 
@@ -1333,31 +1329,32 @@ Scu::chargeLaneOp(sim::SimContext &wctx, sim::ThreadId lane_tid,
     }
 }
 
-BatchResult
-Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
-                   const BatchRequest &batch)
-{
-    // A barriered dispatch IS a barrier: close any async window first
-    // (charging its bound thread), so lane clocks and the scoreboard
-    // never leak between the two modes.
-    if (windowCtx_)
-        drainWindow(*windowCtx_, windowTid_);
-    BatchResult result;
-    const std::size_t n = batch.size();
-    result.entries.resize(n);
-    if (n == 0) {
-        // An empty dispatch is a size-0 use of the scratch: it must
-        // advance the shrink window (and reset its peak), or a burst
-        // followed by a quiet stream of empty dispatches would pin
-        // the burst's allocation forever.
-        maybeShrinkScratch(0);
-        return result;
-    }
+// --- The dispatch pipeline -------------------------------------------------
+//
+// beginDispatch -> routeBatch (+ appendLanes) -> execute/charge ->
+// reduceResults -> retireBatch, shared by dispatchBatch and
+// dispatchAsync; only execute/charge and the way completion is paid
+// are their own (stage list: Scu::dispatchBatch in scu.hpp).
 
+BatchFaultSummary
+Scu::faultTotals(const sim::SimContext &ctx) const
+{
+    return {.retries = ctx.counter(Counter::Retries),
+            .laneStalls = ctx.counter(Counter::LaneStalls),
+            .quarantinedVaults = quarantine_.deadCount(),
+            .recoveryBytes = ctx.counter(Counter::RecoveryBytes)};
+}
+
+Scu::DispatchFront
+Scu::beginDispatch(sim::SimContext &ctx, sim::ThreadId tid,
+                   const BatchRequest &batch, bool windowed)
+{
     // Static pre-execution verification (sisa/analysis.hpp). Sits
     // BEFORE the dispatch counter so a strict-rejected batch never
     // consumes a sequence number (fault coordinates stay stable when
-    // the offending batch is fixed and re-issued). Charges no
+    // the offending batch is fixed and re-issued), and before the
+    // window opens, so a strict reject leaves an async window intact
+    // -- pending batches retire normally after the throw. Charges no
     // modeled cycles; with analyze off this branch is the whole cost.
     if (config_.analyze != AnalyzeMode::Off) {
         analysis::AnalysisContext actx;
@@ -1390,79 +1387,253 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
     // a dispatch slot. Sits AFTER the analyzer (a strict reject must
     // not strand a grant) and before any charge, so co-tenant
     // dispatches interleave at whole-dispatch boundaries. A
-    // cancellation verdict throws QueryCancelledError from here.
+    // cancellation verdict cancel-drains the window and throws
+    // QueryCancelledError from here.
     admitDispatch(ctx, tid);
+
+    // Open the async window lazily on the first overlapped dispatch:
+    // virtual time starts at the bound thread's current cycles.
+    if (windowed && !windowCtx_) {
+        windowCtx_ = &ctx;
+        windowTid_ = tid;
+        windowBase_ = ctx.threadCycles(tid);
+        laneClockV_.assign(
+            std::max<std::uint32_t>(config_.pim.vaults, 1), 0);
+    }
 
     // The dispatch coordinate fault points address; maintained even
     // with the injector off (an integer increment) so enabling faults
-    // mid-run addresses the same dispatches either way.
-    const std::uint64_t dispatch_idx = dispatchCounter_++;
-    // Recovery accounting baseline for BatchResult.faults.
-    std::uint64_t base_retries = 0;
-    std::uint64_t base_stalls = 0;
-    std::uint64_t base_recovery = 0;
-    std::uint32_t base_dead = 0;
-    if (faults_) {
-        base_retries = ctx.counter(Counter::Retries);
-        base_stalls = ctx.counter(Counter::LaneStalls);
-        base_recovery = ctx.counter(Counter::RecoveryBytes);
-        base_dead = quarantine_.deadCount();
-    }
+    // mid-run addresses the same dispatches either way. The fault
+    // totals are the baseline of BatchResult.faults.
+    DispatchFront front{.index = dispatchCounter_++, .faults = {}};
+    if (faults_)
+        front.faults = faultTotals(ctx);
 
     // One decode for the whole batch, then one serial metadata round
     // per operand on the SCU front end (the SMB is shared state).
+    // These charges advance real time (and so a window's "now").
     ctx.chargeBusy(tid, config_.pim.scuDelay);
     ctx.bumpCounter(Counter::BatchDispatches);
-    ctx.bumpCounter(Counter::BatchOps, n);
+    ctx.bumpCounter(Counter::BatchOps, batch.size());
     for (const BatchOp &op : batch.ops) {
         chargeMetadata(ctx, tid, op.a);
         chargeMetadata(ctx, tid, op.b);
         ctx.recordSetSize(tid, store_.cardinality(op.a));
         ctx.recordSetSize(tid, store_.cardinality(op.b));
     }
+    return front;
+}
 
+bool
+Scu::collectFailures(std::uint64_t dispatch)
+{
+    failedVaults_.clear();
+    faults_->failuresAt(dispatch, failedVaults_);
+    std::erase_if(failedVaults_, [&](std::uint32_t v) {
+        // Out-of-range points are config typos; an already-
+        // quarantined vault failed at an earlier dispatch and routing
+        // no longer targets it.
+        return v >= quarantine_.vaults() || quarantine_.contains(v);
+    });
+    return !failedVaults_.empty();
+}
+
+std::uint32_t
+Scu::routeBatch(const BatchRequest &batch, std::uint64_t dispatch,
+                bool execute_all)
+{
     // Route operations to their execution vaults and build one
     // serial queue per touched vault ("lane"). Primary/MinBytes
     // resolve each op independently from metadata (resolveRoute);
     // Balanced executes the whole batch functionally first and runs
     // the LPT scheduler over the exact cycle charges, so its routes
-    // reflect per-vault load. The scratch vault->lane table persists
-    // across dispatches; laneVault_ lists the entries to reset
-    // afterwards. Operations whose co-operand stayed in a different
-    // vault must first pull its bytes over the interconnect (charged
-    // once per (vault, operand) pair -- the vault buffers the remote
-    // operand for the dispatch's duration).
-    const bool balanced = config_.routing == Routing::Balanced;
+    // reflect per-vault load. Operations whose co-operand stayed in
+    // a different vault must first pull its bytes over the
+    // interconnect (charged once per (vault, operand) pair -- the
+    // vault buffers the remote operand for the dispatch's duration).
+    const std::size_t n = batch.size();
     if (outcomes_.size() < n)
         outcomes_.resize(n);
     if (routes_.size() < n)
         routes_.resize(n);
+    const bool balanced = config_.routing == Routing::Balanced;
+    if (balanced || execute_all)
+        preExecuteOutcomes(batch, dispatch);
     if (balanced) {
-        preExecuteOutcomes(batch, dispatch_idx);
         scheduleBalanced(batch);
     } else {
         for (std::uint32_t i = 0; i < n; ++i)
             routes_[i] = resolveRoute(batch.ops[i].a, batch.ops[i].b);
     }
-    const std::uint32_t lanes = buildLanes(n);
+    laneVault_.clear();
+    return appendLanes(
+        std::views::iota(std::uint32_t{0}, static_cast<std::uint32_t>(n)));
+}
+
+std::optional<mem::Cycles>
+Scu::reduceResults(sim::SimContext &ctx)
+{
+    // Cross-vault result reduction: a multi-vault batch funnels its
+    // per-vault results back to the SCU as a binary tree over the b_L
+    // interconnect. Each level runs its transfers in parallel and
+    // costs the slowest sender; a sender's payload accumulates the
+    // results it already absorbed. Metadata-only outcomes (zero
+    // charges: the SCU front end proved them from the SM alone) have
+    // nothing in any vault to send, so only lanes that charged vault
+    // work participate -- degenerate copies DID materialize data and
+    // reduce like any other result. Lane order is the deterministic
+    // first-touch order, so the charge is worker-count invariant.
+    laneResultBytes_.clear();
+    for (std::size_t l = 0; l < laneVault_.size(); ++l) {
+        std::uint64_t bytes = 0;
+        bool executed = false;
+        for (const std::uint32_t i : laneOps_[l]) {
+            if (outcomes_[i].numCharges == 0)
+                continue;
+            executed = true;
+            bytes += resultBytes(outcomes_[i]);
+        }
+        if (executed)
+            laneResultBytes_.push_back(bytes);
+    }
+    if (laneResultBytes_.size() < 2)
+        return std::nullopt;
+    mem::Cycles cycles = 0;
+    std::uint64_t reduce_bytes = 0;
+    std::size_t len = laneResultBytes_.size();
+    while (len > 1) {
+        mem::Cycles level = 0;
+        std::size_t out = 0;
+        for (std::size_t i = 0; i + 1 < len; i += 2) {
+            level = std::max(level,
+                             mem::interconnectCycles(
+                                 config_.pim, laneResultBytes_[i + 1]));
+            reduce_bytes += laneResultBytes_[i + 1];
+            laneResultBytes_[out++] =
+                laneResultBytes_[i] + laneResultBytes_[i + 1];
+        }
+        if (len % 2)
+            laneResultBytes_[out++] = laneResultBytes_[len - 1];
+        len = out;
+        cycles += level;
+    }
+    ctx.bumpCounter(Counter::XvaultReduceBytes, reduce_bytes);
+    return cycles;
+}
+
+BatchResult
+Scu::retireBatch(sim::SimContext &ctx, const BatchRequest &batch,
+                 const DispatchFront &front,
+                 std::optional<mem::Cycles> completion)
+{
+    const std::size_t n = batch.size();
+    // lastBackend_ reports the last operation (in request = serial
+    // order) that actually charged a backend; a batch whose tail ops
+    // were all metadata-only leaves the previous value in place,
+    // exactly as issuing them serially would (one shared rule:
+    // retainOrUpdateLastBackend).
+    for (std::size_t i = n; i-- > 0;) {
+        if (outcomes_[i].numCharges) {
+            retainOrUpdateLastBackend(outcomes_[i]);
+            break;
+        }
+    }
+
+    // Materialize results in request order (ids deterministic and
+    // identical to a serial issue of the same operations). Adopted
+    // results are pinned to the vault that produced them when the
+    // policy places results, so recursion over intermediates stays
+    // local. In a window every materialized result is a pending def
+    // until the batch's reduction completes -- results ride the tree
+    // back to the SCU together, so one conservative def time covers
+    // the batch.
+    BatchResult result;
+    result.entries.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const BatchOp &op = batch.ops[i];
+        BatchEntry &entry = result.entries[i];
+        entry.value = outcomes_[i].scalar;
+        if (!std::holds_alternative<std::monostate>(
+                outcomes_[i].payload)) {
+            entry.set = adoptOutcome(std::move(outcomes_[i]));
+            entry.value = store_.cardinality(entry.set);
+            placeResult(entry.set, routes_[i].vault);
+            if (completion)
+                deps_.noteDef(entry.set, *completion);
+        }
+        SisaOp traced = op.variant;
+        if (op.kind == BatchOpKind::IntersectCard)
+            traced = SisaOp::IntersectCard;
+        else if (op.kind == BatchOpKind::UnionCard)
+            traced = SisaOp::UnionCard;
+        traceOp(traced, entry.set == invalid_set ? 0 : entry.set, op.a,
+                op.b);
+    }
+    if (faults_) {
+        const BatchFaultSummary now = faultTotals(ctx);
+        const BatchFaultSummary &base = front.faults;
+        result.faults = {
+            .retries = now.retries - base.retries,
+            .laneStalls = now.laneStalls - base.laneStalls,
+            .quarantinedVaults =
+                now.quarantinedVaults - base.quarantinedVaults,
+            .recoveryBytes = now.recoveryBytes - base.recoveryBytes};
+        // Draw the dispatch's recovery events against the query's
+        // fault budget (reported at the next admission boundary).
+        if (sched_)
+            demand_.faultEvents += result.faults.retries +
+                                   result.faults.laneStalls +
+                                   result.faults.quarantinedVaults;
+    }
+    maybeShrinkScratch(n);
+
+    if (completion) {
+        // In-order retirement, exactly like a ROB: the front end may
+        // run at most asyncDepth batches ahead, so before this batch
+        // joins the window the issuing thread stalls to the oldest
+        // pending completions that would overflow it.
+        while (inFlight_.size() >= config_.asyncDepth) {
+            stallWindowTo(inFlight_.front());
+            inFlight_.pop_front();
+        }
+        inFlight_.push_back(*completion);
+        ctx.bumpCounter(Counter::AsyncDispatches);
+    }
+    reportDispatch(ctx);
+    return result;
+}
+
+BatchResult
+Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
+                   const BatchRequest &batch)
+{
+    // A barriered dispatch IS a barrier: close any async window first
+    // (charging its bound thread), so lane clocks and the scoreboard
+    // never leak between the two modes.
+    if (windowCtx_)
+        drainWindow();
+    if (batch.size() == 0) {
+        // An empty dispatch is a size-0 use of the scratch: it must
+        // advance the shrink window (and reset its peak), or a burst
+        // followed by a quiet stream of empty dispatches would pin
+        // the burst's allocation forever.
+        maybeShrinkScratch(0);
+        return {};
+    }
+    const DispatchFront front =
+        beginDispatch(ctx, tid, batch, /*windowed=*/false);
+    const std::uint64_t dispatch_idx = front.index;
+    const bool balanced = config_.routing == Routing::Balanced;
+    const std::uint32_t lanes =
+        routeBatch(batch, dispatch_idx, /*execute_all=*/false);
     const std::vector<std::vector<std::uint32_t>> &lane_ops = laneOps_;
     const std::uint32_t workers =
         std::min(batchWorkerCount(), lanes);
 
     // Permanent vault failures striking this dispatch: their lanes
-    // fail-stop (nobody executes or charges them; heartbeats stay at
-    // zero) and the recovery pass below re-routes the stranded ops.
-    failedVaults_.clear();
-    if (faults_) {
-        faults_->failuresAt(dispatch_idx, failedVaults_);
-        std::erase_if(failedVaults_, [&](std::uint32_t v) {
-            // Out-of-range points are config typos; an already-
-            // quarantined vault failed at an earlier dispatch and
-            // routing no longer targets it.
-            return v >= quarantine_.vaults() || quarantine_.contains(v);
-        });
-    }
-    const bool have_failures = !failedVaults_.empty();
+    // fail-stop (nobody executes or charges them) and
+    // recoverFailedLanes re-routes the stranded ops.
+    const bool have_failures = faults_ && collectFailures(dispatch_idx);
     std::vector<char> lane_is_dead;
     if (have_failures) {
         lane_is_dead.resize(lanes);
@@ -1491,8 +1662,6 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
         worker_ctx.back().bindQuery(ctx.activeQuery());
     }
 
-    std::vector<OpOutcome> &outcomes = outcomes_;
-    const std::vector<OpRoute> &routes = routes_;
     laneSizes_.resize(lanes);
     for (std::uint32_t l = 0; l < lanes; ++l)
         laneSizes_[l] = static_cast<std::uint32_t>(lane_ops[l].size());
@@ -1504,7 +1673,7 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
         if (balanced)
             return;
         const std::uint32_t i = lane_ops[l][pos];
-        outcomes[i] = executeOp(dispatch_idx, i, batch.ops[i]);
+        outcomes_[i] = executeOp(dispatch_idx, i, batch.ops[i]);
     };
 
     // Worker wrapper: only the lane's owning worker charges, in
@@ -1565,210 +1734,11 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
                               l / workers));
         }
     }
-
-    // Permanent-failure recovery. The dead vaults' lanes never beat
-    // (runQueues skipped them), so the SCU's watchdog detects the
-    // failures one heartbeat timeout after the healthy barrier; it
-    // then quarantines the vaults, emergency-migrates their resident
-    // sets, and replays the stranded operations on live vaults --
-    // re-routed through the SAME placement/scheduling rules (vaultOf
-    // now remaps dead vaults away) and billed by the SAME
-    // charge_lane_op, so a recovered dispatch is bit-identical to a
-    // fault-free one in results, ids, and setops.* work counters.
-    std::uint32_t total_lanes = lanes;
     if (have_failures) {
-        makespan += faults_->config().heartbeatTimeout;
-        for (const std::uint32_t v : failedVaults_)
-            quarantineVault(ctx, tid, v);
-
-        // Strand list in deterministic lane/op order, then empty the
-        // dead lanes: downstream phases (reduction, adoption) walk
-        // the extended lane set and must not see an op twice.
-        recoveredOps_.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            if (!lane_is_dead[l])
-                continue;
-            for (const std::uint32_t i : laneOps_[l])
-                recoveredOps_.push_back(i);
-            laneOps_[l].clear();
-            laneSizes_[l] = 0;
-        }
-
-        if (!recoveredOps_.empty()) {
-            if (balanced) {
-                // The balanced scheduler's LPT rule applied to just
-                // the recovery window: stranded ops in descending
-                // cost order, each to whichever operand vault (both
-                // remapped off the quarantine) finishes it first on
-                // fresh loads, transfer dedup priced in -- the
-                // recovery lanes start empty because the healthy
-                // lanes already drained at the barrier.
-                std::stable_sort(
-                    recoveredOps_.begin(), recoveredOps_.end(),
-                    [&](std::uint32_t x, std::uint32_t y) {
-                        return outcomeCycles(outcomes_[x]) >
-                               outcomeCycles(outcomes_[y]);
-                    });
-                schedLoads_.reset(
-                    std::max<std::uint32_t>(config_.pim.vaults, 1));
-                schedFetched_.clear();
-                const auto fetch_key = [](std::uint32_t vault,
-                                          SetId id) {
-                    return (static_cast<std::uint64_t>(vault) << 32) |
-                           id;
-                };
-                for (const std::uint32_t i : recoveredOps_) {
-                    const BatchOp &op = batch.ops[i];
-                    const OpOutcome &out = outcomes_[i];
-                    const mem::Cycles exec = outcomeCycles(out);
-                    const std::uint32_t va = vaultOf(op.a);
-                    const std::uint32_t vb = vaultOf(op.b);
-                    if (va == vb) {
-                        routes_[i] = {va, invalid_set, 0, true};
-                        schedLoads_.add(va, exec);
-                        continue;
-                    }
-                    const std::uint64_t bytes_b =
-                        out.readsB ? operandBytes(op.b) : 0;
-                    const std::uint64_t bytes_a =
-                        out.readsA ? operandBytes(op.a) : 0;
-                    const mem::Cycles xfer_at_a =
-                        bytes_b &&
-                                !schedFetched_.count(fetch_key(va, op.b))
-                            ? mem::interconnectCycles(config_.pim,
-                                                      bytes_b)
-                            : 0;
-                    const mem::Cycles xfer_at_b =
-                        bytes_a &&
-                                !schedFetched_.count(fetch_key(vb, op.a))
-                            ? mem::interconnectCycles(config_.pim,
-                                                      bytes_a)
-                            : 0;
-                    if (schedLoads_.of(vb) + exec + xfer_at_b <
-                        schedLoads_.of(va) + exec + xfer_at_a) {
-                        routes_[i] = {vb, op.a, operandBytes(op.a),
-                                      false};
-                        schedLoads_.add(vb, exec + xfer_at_b);
-                        if (xfer_at_b)
-                            schedFetched_.insert(fetch_key(vb, op.a));
-                    } else {
-                        routes_[i] = {va, op.b, operandBytes(op.b),
-                                      true};
-                        schedLoads_.add(va, exec + xfer_at_a);
-                        if (xfer_at_a)
-                            schedFetched_.insert(fetch_key(va, op.b));
-                    }
-                }
-            } else {
-                // vaultOf already masks the quarantine, so the plain
-                // per-op rule lands every stranded op on a live vault.
-                for (const std::uint32_t i : recoveredOps_) {
-                    routes_[i] =
-                        resolveRoute(batch.ops[i].a, batch.ops[i].b);
-                }
-            }
-
-            // Append one recovery lane per replacement vault (the
-            // same first-touch construction as the main lane build).
-            for (const std::uint32_t i : recoveredOps_) {
-                const std::uint32_t vault = routes_[i].vault;
-                std::uint32_t lane = vaultLane_[vault];
-                if (lane == UINT32_MAX) {
-                    lane = static_cast<std::uint32_t>(laneVault_.size());
-                    vaultLane_[vault] = lane;
-                    laneVault_.push_back(vault);
-                    if (laneOps_.size() <= lane)
-                        laneOps_.emplace_back();
-                    if (laneFetched_.size() <= lane)
-                        laneFetched_.emplace_back();
-                    laneOps_[lane].clear();
-                    laneFetched_[lane].clear();
-                }
-                laneOps_[lane].push_back(i);
-            }
-            total_lanes = static_cast<std::uint32_t>(laneVault_.size());
-            for (std::uint32_t l = lanes; l < total_lanes; ++l)
-                vaultLane_[laneVault_[l]] = UINT32_MAX;
-
-            // Replay the stranded ops: execute (non-balanced ops were
-            // never run -- their vault died first) and charge through
-            // the shared lane rule, one modeled thread per recovery
-            // lane (the replacement vaults run concurrently), serial
-            // on the host -- recovery is the rare path. The replay
-            // phase starts after the watchdog fired, so its makespan
-            // adds to the dispatch's.
-            const std::uint32_t rec_lanes = total_lanes - lanes;
-            sim::SimContext rctx(rec_lanes);
-            rctx.bindQuery(ctx.activeQuery());
-            std::unordered_set<SetId> rec_fetched;
-            for (std::uint32_t rl = 0; rl < rec_lanes; ++rl) {
-                const std::uint32_t l = lanes + rl;
-                rec_fetched.clear();
-                for (const std::uint32_t i : laneOps_[l]) {
-                    if (!balanced) {
-                        outcomes_[i] =
-                            executeOp(dispatch_idx, i, batch.ops[i]);
-                    }
-                    chargeLaneOp(rctx, rl, rec_fetched, l, i,
-                                 dispatch_idx);
-                }
-            }
-            mem::Cycles recovery_makespan = 0;
-            for (sim::ThreadId rt = 0; rt < rec_lanes; ++rt) {
-                recovery_makespan =
-                    std::max(recovery_makespan, rctx.threadCycles(rt));
-                noteVaultBusy(laneVault_[lanes + rt],
-                              rctx.threadCycles(rt));
-            }
-            makespan += recovery_makespan;
-            ctx.absorbCounters(rctx);
-        }
+        makespan += recoverFailedLanes(ctx, tid, batch, dispatch_idx,
+                                       lane_is_dead);
     }
-
-    // Cross-vault result reduction: a multi-vault batch funnels its
-    // per-vault results back to the SCU as a binary tree over the b_L
-    // interconnect. Each level runs its transfers in parallel and
-    // costs the slowest sender; a sender's payload accumulates the
-    // results it already absorbed. Metadata-only outcomes (zero
-    // charges: the SCU front end proved them from the SM alone) have
-    // nothing in any vault to send, so only lanes that charged vault
-    // work participate -- degenerate copies DID materialize data and
-    // reduce like any other result. Lane order is the deterministic
-    // first-touch order, so the charge is worker-count invariant.
-    laneResultBytes_.clear();
-    for (std::uint32_t l = 0; l < total_lanes; ++l) {
-        std::uint64_t bytes = 0;
-        bool executed = false;
-        for (const std::uint32_t i : lane_ops[l]) {
-            if (outcomes[i].numCharges == 0)
-                continue;
-            executed = true;
-            bytes += resultBytes(outcomes[i]);
-        }
-        if (executed)
-            laneResultBytes_.push_back(bytes);
-    }
-    if (laneResultBytes_.size() > 1) {
-        std::uint64_t reduce_bytes = 0;
-        std::size_t len = laneResultBytes_.size();
-        while (len > 1) {
-            mem::Cycles level = 0;
-            std::size_t out = 0;
-            for (std::size_t i = 0; i + 1 < len; i += 2) {
-                level = std::max(
-                    level, mem::interconnectCycles(
-                               config_.pim, laneResultBytes_[i + 1]));
-                reduce_bytes += laneResultBytes_[i + 1];
-                laneResultBytes_[out++] =
-                    laneResultBytes_[i] + laneResultBytes_[i + 1];
-            }
-            if (len % 2)
-                laneResultBytes_[out++] = laneResultBytes_[len - 1];
-            len = out;
-            makespan += level;
-        }
-        ctx.bumpCounter(Counter::XvaultReduceBytes, reduce_bytes);
-    }
+    makespan += reduceResults(ctx).value_or(0);
     ctx.chargeBusy(tid, makespan);
     for (const sim::SimContext &wctx : worker_ctx)
         ctx.absorbCounters(wctx);
@@ -1776,71 +1746,89 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
     // Dynamic re-placement closes the barrier: feed the observed
     // transfers to the policy and charge/apply its migrations.
     if (dynamic_)
-        replaceAtBarrier(ctx, tid, total_lanes);
+        replaceAtBarrier(ctx, tid);
+    return retireBatch(ctx, batch, front, std::nullopt);
+}
 
-    // lastBackend_ reports the last operation (in request = serial
-    // order) that actually charged a backend; a batch whose tail ops
-    // were all metadata-only leaves the previous value in place,
-    // exactly as issuing them serially would (one shared rule:
-    // retainOrUpdateLastBackend).
-    for (std::uint32_t i = static_cast<std::uint32_t>(n); i-- > 0;) {
-        if (outcomes[i].numCharges) {
-            retainOrUpdateLastBackend(outcomes[i]);
-            break;
-        }
-    }
+mem::Cycles
+Scu::recoverFailedLanes(sim::SimContext &ctx, sim::ThreadId tid,
+                        const BatchRequest &batch,
+                        std::uint64_t dispatch,
+                        const std::vector<char> &lane_is_dead)
+{
+    // The SCU's watchdog detects the failures one heartbeat timeout
+    // after the healthy barrier (the failed vaults are known from the
+    // injector's schedule); it then quarantines the vaults,
+    // emergency-migrates their resident sets, and replays the
+    // stranded operations on live vaults -- re-routed through the
+    // SAME routing rules (vaultOf now remaps dead vaults away), laid
+    // out by the SAME lane build, and billed by the SAME
+    // chargeLaneOp, so a recovered dispatch is bit-identical to a
+    // fault-free one in results, ids, and setops.* work counters.
+    mem::Cycles cycles = faults_->config().heartbeatTimeout;
+    for (const std::uint32_t v : failedVaults_)
+        quarantineVault(ctx, tid, v);
 
-    // Materialize results in request order (ids deterministic and
-    // identical to a serial issue of the same operations). Adopted
-    // results are pinned to the vault that produced them when the
-    // policy places results, so recursion over intermediates stays
-    // local.
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const BatchOp &op = batch.ops[i];
-        BatchEntry &entry = result.entries[i];
-        entry.value = outcomes[i].scalar;
-        if (!std::holds_alternative<std::monostate>(
-                outcomes[i].payload)) {
-            entry.set = adoptOutcome(std::move(outcomes[i]));
-            entry.value = store_.cardinality(entry.set);
-            placeResult(entry.set, routes[i].vault);
+    // Strand list in deterministic lane/op order, then empty the
+    // dead lanes: downstream phases (reduction, adoption) walk the
+    // extended lane set and must not see an op twice.
+    const auto lanes = static_cast<std::uint32_t>(laneVault_.size());
+    recoveredOps_.clear();
+    for (std::uint32_t l = 0; l < lanes; ++l) {
+        if (!lane_is_dead[l])
+            continue;
+        recoveredOps_.insert(recoveredOps_.end(), laneOps_[l].begin(),
+                             laneOps_[l].end());
+        laneOps_[l].clear();
+    }
+    if (recoveredOps_.empty())
+        return cycles;
+
+    // Balanced re-routes with the LPT sweep over just the stranded
+    // ops on fresh loads (the healthy lanes already drained at the
+    // barrier); the per-op rules re-resolve. Then one recovery lane
+    // per replacement vault is appended after the healthy lanes.
+    const bool balanced = config_.routing == Routing::Balanced;
+    if (balanced) {
+        lptSweep(batch, recoveredOps_, /*write_routes=*/true);
+    } else {
+        for (const std::uint32_t i : recoveredOps_)
+            routes_[i] = resolveRoute(batch.ops[i].a, batch.ops[i].b);
+    }
+    const std::uint32_t rec_lanes = appendLanes(recoveredOps_) - lanes;
+
+    // Replay the stranded ops: execute (non-balanced ops were never
+    // run -- their vault died first) and charge through the shared
+    // lane rule, one modeled thread per recovery lane (the
+    // replacement vaults run concurrently), serial on the host --
+    // recovery is the rare path. The replay phase starts after the
+    // watchdog fired, so its makespan adds to the dispatch's.
+    sim::SimContext rctx(rec_lanes);
+    rctx.bindQuery(ctx.activeQuery());
+    std::unordered_set<SetId> fetched;
+    mem::Cycles replay = 0;
+    for (std::uint32_t rl = 0; rl < rec_lanes; ++rl) {
+        const std::uint32_t l = lanes + rl;
+        fetched.clear();
+        for (const std::uint32_t i : laneOps_[l]) {
+            if (!balanced)
+                outcomes_[i] = executeOp(dispatch, i, batch.ops[i]);
+            chargeLaneOp(rctx, rl, fetched, l, i, dispatch);
         }
-        SisaOp traced = op.variant;
-        if (op.kind == BatchOpKind::IntersectCard)
-            traced = SisaOp::IntersectCard;
-        else if (op.kind == BatchOpKind::UnionCard)
-            traced = SisaOp::UnionCard;
-        traceOp(traced, entry.set == invalid_set ? 0 : entry.set, op.a,
-                op.b);
+        replay = std::max(replay, rctx.threadCycles(rl));
+        noteVaultBusy(laneVault_[l], rctx.threadCycles(rl));
     }
-    if (faults_) {
-        result.faults.retries = ctx.counter(Counter::Retries) - base_retries;
-        result.faults.laneStalls =
-            ctx.counter(Counter::LaneStalls) - base_stalls;
-        result.faults.recoveryBytes =
-            ctx.counter(Counter::RecoveryBytes) - base_recovery;
-        result.faults.quarantinedVaults =
-            quarantine_.deadCount() - base_dead;
-        // Draw the dispatch's recovery events against the query's
-        // fault budget (reported at the next admission boundary).
-        if (sched_)
-            demand_.faultEvents += result.faults.retries +
-                                   result.faults.laneStalls +
-                                   result.faults.quarantinedVaults;
-    }
-    maybeShrinkScratch(n);
-    reportDispatch(ctx);
-    return result;
+    ctx.absorbCounters(rctx);
+    return cycles + replay;
 }
 
 void
-Scu::replaceAtBarrier(sim::SimContext &ctx, sim::ThreadId tid,
-                      std::uint32_t lanes)
+Scu::replaceAtBarrier(sim::SimContext &ctx, sim::ThreadId tid)
 {
     // Feed the transfers the workers recorded (exactly the charged
     // ones) to the policy in deterministic lane order: heat can
     // never drift from what was billed.
-    for (std::uint32_t l = 0; l < lanes; ++l) {
+    for (std::size_t l = 0; l < laneVault_.size(); ++l) {
         for (const auto &[remote, bytes] : laneFetched_[l]) {
             dynamic_->observe(remote, vaultOf(remote), laneVault_[l],
                               bytes);
@@ -1930,209 +1918,128 @@ Scu::ensureWindowContext(sim::SimContext &ctx, sim::ThreadId tid)
     // the SCU is a synchronization point -- the bound thread pays its
     // pending completions and the window closes.
     if (windowCtx_ && (windowCtx_ != &ctx || windowTid_ != tid))
-        drainWindow(*windowCtx_, windowTid_);
+        drainWindow();
 }
 
-void
-Scu::drainWindow(sim::SimContext &, sim::ThreadId)
+mem::Cycles
+Scu::settleWindow()
 {
-    if (!windowCtx_)
-        return;
     // Charges land on the BOUND thread regardless of who forced the
-    // drain: the window's wait belongs to the thread that ran ahead.
-    sim::SimContext &ctx = *windowCtx_;
-    const sim::ThreadId tid = windowTid_;
+    // settlement: the window's wait belongs to the thread that ran
+    // ahead. Everything the window tracked resets with it.
     const mem::Cycles now = nowV();
-    if (maxCompletionV_ > now)
-        ctx.chargeStall(tid, maxCompletionV_ - now);
-    ctx.bumpCounter(Counter::AsyncDrains);
+    const mem::Cycles wait = maxCompletionV_ > now ? maxCompletionV_ - now : 0;
+    if (wait)
+        windowCtx_->chargeStall(windowTid_, wait);
     windowCtx_ = nullptr;
-    pendingTickets_.clear();
+    inFlight_.clear();
     deps_.clear();
     laneClockV_.clear();
     maxCompletionV_ = 0;
     reduceEndV_ = 0;
-    // Heartbeat evidence spanned the window; the barriered contract
-    // (reset per runQueues) resumes, with counters cleared.
-    if (pool_)
-        pool_->setBeatAccumulation(false);
+    return wait;
+}
+
+void
+Scu::drainWindow()
+{
+    if (!windowCtx_)
+        return;
+    sim::SimContext &ctx = *windowCtx_;
+    settleWindow();
+    ctx.bumpCounter(Counter::AsyncDrains);
+}
+
+void
+Scu::cancelWindow()
+{
+    if (!windowCtx_)
+        return;
+    // Same settlement as drainWindow, but booked as cancellation
+    // cost: the abandoned batches' vault time was already spent on
+    // the shared clocks, so it must be priced, not dropped. The
+    // uncollected tickets' functional results die with the session's
+    // store; only the timing ledger survives into the leave() tail.
+    sim::SimContext &ctx = *windowCtx_;
+    const mem::Cycles wait = settleWindow();
+    if (wait)
+        ctx.bumpCounter(Counter::CancelledCycles, wait);
+}
+
+void
+Scu::stallWindowTo(mem::Cycles horizon)
+{
+    const mem::Cycles now = nowV();
+    if (horizon > now) {
+        windowCtx_->chargeStall(windowTid_, horizon - now);
+        windowCtx_->bumpCounter(Counter::AsyncSyncs);
+    }
 }
 
 void
 Scu::syncRead(sim::SimContext &ctx, sim::ThreadId tid, SetId id)
 {
-    if (!windowCtx_)
-        return;
+    // A foreign context drains the window: that already synchronized.
     ensureWindowContext(ctx, tid);
-    if (!windowCtx_)
-        return; // Foreign context: the drain already synchronized.
-    const mem::Cycles def = deps_.defTime(id);
-    const mem::Cycles now = nowV();
-    if (def > now) {
-        ctx.chargeStall(tid, def - now);
-        ctx.bumpCounter(Counter::AsyncSyncs);
-    }
+    if (windowCtx_)
+        stallWindowTo(deps_.defTime(id));
 }
 
 void
 Scu::syncWrite(sim::SimContext &ctx, sim::ThreadId tid, SetId id)
 {
-    if (!windowCtx_)
-        return;
-    ensureWindowContext(ctx, tid);
-    if (!windowCtx_)
-        return;
     // A mutation must wait for the pending def (RAW) and for every
     // pending payload read of the set (WAR).
-    const mem::Cycles horizon =
-        std::max(deps_.defTime(id), deps_.lastRead(id));
-    const mem::Cycles now = nowV();
-    if (horizon > now) {
-        ctx.chargeStall(tid, horizon - now);
-        ctx.bumpCounter(Counter::AsyncSyncs);
-    }
+    ensureWindowContext(ctx, tid);
+    if (windowCtx_)
+        stallWindowTo(std::max(deps_.defTime(id), deps_.lastRead(id)));
+}
+
+BatchHandle
+Scu::issueTicket(BatchResult &&result)
+{
+    const std::uint64_t ticket = nextTicket_++;
+    pendingResults_.emplace(ticket, std::move(result));
+    return BatchHandle{ticket};
 }
 
 BatchHandle
 Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
                    const BatchRequest &batch)
 {
-    if (config_.asyncDepth == 0) {
-        // Window disabled: barriered dispatch behind the async API,
-        // handed back as an immediately-retired ticket.
-        BatchResult barriered = dispatchBatch(ctx, tid, batch);
-        const std::uint64_t ticket = nextTicket_++;
-        pendingResults_.emplace(ticket, std::move(barriered));
-        return BatchHandle{ticket};
-    }
+    // Window disabled: barriered dispatch behind the async API,
+    // handed back as an immediately-retired ticket.
+    if (config_.asyncDepth == 0)
+        return issueTicket(dispatchBatch(ctx, tid, batch));
 
     ensureWindowContext(ctx, tid);
-
-    const std::size_t n = batch.size();
-    if (n == 0) {
+    if (batch.size() == 0) {
         // Same contract as dispatchBatch's early return: no sequence
         // number, no charges -- but the dispatch attempt advances the
         // scratch shrink window. The async window stays intact.
         maybeShrinkScratch(0);
-        BatchResult empty;
-        const std::uint64_t ticket = nextTicket_++;
-        pendingResults_.emplace(ticket, std::move(empty));
-        return BatchHandle{ticket};
+        return issueTicket({});
     }
 
     // Permanent-failure fence, peeked BEFORE the analyzer and the
     // sequence number: watchdog detection, quarantine, and replay
     // are barrier-shaped, so a dispatch whose coordinate carries
-    // fail points drains the window and runs barriered -- the
-    // counter has not advanced, so the barriered path sees the SAME
-    // coordinate and recovery is bit-identical to always-barriered.
-    if (faults_) {
-        failedVaults_.clear();
-        faults_->failuresAt(dispatchCounter_, failedVaults_);
-        std::erase_if(failedVaults_, [&](std::uint32_t v) {
-            return v >= quarantine_.vaults() || quarantine_.contains(v);
-        });
-        if (!failedVaults_.empty()) {
-            drainWindow(ctx, tid);
-            BatchResult recovered = dispatchBatch(ctx, tid, batch);
-            const std::uint64_t ticket = nextTicket_++;
-            pendingResults_.emplace(ticket, std::move(recovered));
-            return BatchHandle{ticket};
-        }
-    }
+    // fail points runs barriered (dispatchBatch drains the window
+    // first) -- the counter has not advanced, so the barriered path
+    // sees the SAME coordinate and recovery is bit-identical to
+    // always-barriered.
+    if (faults_ && collectFailures(dispatchCounter_))
+        return issueTicket(dispatchBatch(ctx, tid, batch));
 
-    // Static pre-execution verification: the exact dispatchBatch
-    // gate. A strict reject leaves the window intact -- pending
-    // batches retire normally after the throw (analyze=strict under
-    // overlap, per the batch.hpp CROSS-BATCH HAZARDS contract).
-    if (config_.analyze != AnalyzeMode::Off) {
-        analysis::AnalysisContext actx;
-        actx.store = &store_;
-        actx.vaults = config_.pim.vaults;
-        actx.vaultOf = [this](SetId id) { return vaultOf(id); };
-        analysis::Report report =
-            analysis::analyze(analysis::Program::fromBatch(batch), actx);
-        ctx.bumpCounter(Counter::AnalysisBatches);
-        if (report.errors > 0)
-            ctx.bumpCounter(Counter::AnalysisErrors, report.errors);
-        if (report.warnings > 0)
-            ctx.bumpCounter(Counter::AnalysisWarnings, report.warnings);
-        if (report.hasErrors()) {
-            if (config_.analyze == AnalyzeMode::Strict) {
-                maybeShrinkScratch(0);
-                throw analysis::AnalysisError(std::move(report));
-            }
-            sisa_warn("batch analysis found hazards:\n",
-                      report.toString());
-        }
-    }
-
-    // Serving admission at the same point as the barriered path:
-    // after the fences and the analyzer, before any charge. A
-    // cancellation verdict cancel-drains the window and throws.
-    admitDispatch(ctx, tid);
-
-    // Open the window lazily on the first overlapped dispatch.
-    if (!windowCtx_) {
-        windowCtx_ = &ctx;
-        windowTid_ = tid;
-        windowBase_ = ctx.threadCycles(tid);
-        laneClockV_.assign(
-            std::max<std::uint32_t>(config_.pim.vaults, 1), 0);
-        maxCompletionV_ = 0;
-        reduceEndV_ = 0;
-        deps_.clear();
-        // Window-aware heartbeats: lanes accept operations from
-        // several in-flight batches, so watchdog evidence must
-        // accumulate until the drain.
-        if (batchWorkerCount() > 1)
-            pool().setBeatAccumulation(true);
-    }
-
-    const std::uint64_t dispatch_idx = dispatchCounter_++;
-    std::uint64_t base_retries = 0;
-    std::uint64_t base_stalls = 0;
-    std::uint64_t base_recovery = 0;
-    if (faults_) {
-        base_retries = ctx.counter(Counter::Retries);
-        base_stalls = ctx.counter(Counter::LaneStalls);
-        base_recovery = ctx.counter(Counter::RecoveryBytes);
-    }
-
-    BatchResult result;
-    result.entries.resize(n);
-
-    // In-order front end, identical to dispatchBatch: one decode,
-    // then one serial metadata round per operand on the SCU. These
-    // charges advance real time (and therefore virtual "now").
-    ctx.chargeBusy(tid, config_.pim.scuDelay);
-    ctx.bumpCounter(Counter::BatchDispatches);
-    ctx.bumpCounter(Counter::BatchOps, n);
-    for (const BatchOp &op : batch.ops) {
-        chargeMetadata(ctx, tid, op.a);
-        chargeMetadata(ctx, tid, op.b);
-        ctx.recordSetSize(tid, store_.cardinality(op.a));
-        ctx.recordSetSize(tid, store_.cardinality(op.b));
-    }
-
-    // Functional execution, EAGER and in program order -- the async
-    // front end only lets modeled time run ahead. Every routing mode
-    // pre-executes here (the virtual lane clocks need each op's
-    // exact cycle cost before any lane can be laid out); outcomes,
-    // routes, and lanes are bit-identical to the barriered path.
-    const bool balanced = config_.routing == Routing::Balanced;
-    if (outcomes_.size() < n)
-        outcomes_.resize(n);
-    if (routes_.size() < n)
-        routes_.resize(n);
-    preExecuteOutcomes(batch, dispatch_idx);
-    if (balanced) {
-        scheduleBalanced(batch);
-    } else {
-        for (std::uint32_t i = 0; i < n; ++i)
-            routes_[i] = resolveRoute(batch.ops[i].a, batch.ops[i].b);
-    }
-    const std::uint32_t lanes = buildLanes(n);
+    const DispatchFront front =
+        beginDispatch(ctx, tid, batch, /*windowed=*/true);
+    const std::uint64_t dispatch_idx = front.index;
+    // Functional execution is EAGER and in program order -- the
+    // window only lets modeled time run ahead. Every routing mode
+    // pre-executes (the virtual lane clocks need each op's exact
+    // cycle cost before any lane can be laid out).
+    const std::uint32_t lanes =
+        routeBatch(batch, dispatch_idx, /*execute_all=*/true);
 
     // Scoreboard join: per-op virtual ready times against the
     // window's unretired defs (incremental cross-batch DAG join --
@@ -2180,45 +2087,12 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
         noteVaultBusy(vault, acct.threadCycles(0) - lane_entry);
     }
 
-    // Cross-vault result reduction: same lanes, bytes, and level
-    // structure as the barriered path, laid out in virtual time
-    // after the batch's slowest participating lane -- and after the
-    // previous batch's reduction, since the SCU has ONE tree.
-    laneResultBytes_.clear();
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        std::uint64_t bytes = 0;
-        bool executed = false;
-        for (const std::uint32_t i : laneOps_[l]) {
-            if (outcomes_[i].numCharges == 0)
-                continue;
-            executed = true;
-            bytes += resultBytes(outcomes_[i]);
-        }
-        if (executed)
-            laneResultBytes_.push_back(bytes);
-    }
+    // The reduction tree is laid out in virtual time after the
+    // batch's slowest participating lane -- and after the previous
+    // batch's reduction, since the SCU has ONE tree.
     mem::Cycles completion = batch_end;
-    if (laneResultBytes_.size() > 1) {
-        completion = std::max(batch_end, reduceEndV_);
-        std::uint64_t reduce_bytes = 0;
-        std::size_t len = laneResultBytes_.size();
-        while (len > 1) {
-            mem::Cycles level = 0;
-            std::size_t out = 0;
-            for (std::size_t i = 0; i + 1 < len; i += 2) {
-                level = std::max(
-                    level, mem::interconnectCycles(
-                               config_.pim, laneResultBytes_[i + 1]));
-                reduce_bytes += laneResultBytes_[i + 1];
-                laneResultBytes_[out++] =
-                    laneResultBytes_[i] + laneResultBytes_[i + 1];
-            }
-            if (len % 2)
-                laneResultBytes_[out++] = laneResultBytes_[len - 1];
-            len = out;
-            completion += level;
-        }
-        ctx.bumpCounter(Counter::XvaultReduceBytes, reduce_bytes);
+    if (const std::optional<mem::Cycles> tree = reduceResults(ctx)) {
+        completion = std::max(batch_end, reduceEndV_) + *tree;
         reduceEndV_ = completion;
     }
     maxCompletionV_ = std::max(maxCompletionV_, completion);
@@ -2231,76 +2105,8 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
     // observations (laneFetched_ is written by the same charge
     // rule), identical migrations, identical decay cadence.
     if (dynamic_)
-        replaceAtBarrier(ctx, tid, lanes);
-
-    // One shared lastBackend_ rule with serial issue and the
-    // barriered scan: the last op of the batch that charged.
-    for (std::uint32_t i = static_cast<std::uint32_t>(n); i-- > 0;) {
-        if (outcomes_[i].numCharges) {
-            retainOrUpdateLastBackend(outcomes_[i]);
-            break;
-        }
-    }
-
-    // Materialize results in request order (ids deterministic and
-    // identical to barriered dispatch). Every materialized result is
-    // a pending def until the batch's reduction completes -- results
-    // ride the tree back to the SCU together, so one conservative
-    // def time covers the batch.
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const BatchOp &op = batch.ops[i];
-        BatchEntry &entry = result.entries[i];
-        entry.value = outcomes_[i].scalar;
-        if (!std::holds_alternative<std::monostate>(
-                outcomes_[i].payload)) {
-            entry.set = adoptOutcome(std::move(outcomes_[i]));
-            entry.value = store_.cardinality(entry.set);
-            placeResult(entry.set, routes_[i].vault);
-            deps_.noteDef(entry.set, completion);
-        }
-        SisaOp traced = op.variant;
-        if (op.kind == BatchOpKind::IntersectCard)
-            traced = SisaOp::IntersectCard;
-        else if (op.kind == BatchOpKind::UnionCard)
-            traced = SisaOp::UnionCard;
-        traceOp(traced, entry.set == invalid_set ? 0 : entry.set, op.a,
-                op.b);
-    }
-    if (faults_) {
-        // Transient faults only on this path (permanent failures
-        // were fenced to the barriered dispatch above), so the
-        // quarantine count can never move here.
-        result.faults.retries =
-            ctx.counter(Counter::Retries) - base_retries;
-        result.faults.laneStalls =
-            ctx.counter(Counter::LaneStalls) - base_stalls;
-        result.faults.recoveryBytes =
-            ctx.counter(Counter::RecoveryBytes) - base_recovery;
-        if (sched_)
-            demand_.faultEvents += result.faults.retries +
-                                   result.faults.laneStalls;
-    }
-    maybeShrinkScratch(n);
-
-    // Issue the ticket, then retire the ROB head past the window
-    // depth: the front end may run at most asyncDepth batches ahead,
-    // so the issuing thread stalls to the oldest pending completion
-    // first -- in-order retirement, exactly like a ROB.
-    const std::uint64_t ticket = nextTicket_++;
-    pendingResults_.emplace(ticket, std::move(result));
-    pendingTickets_.emplace_back(ticket, completion);
-    ctx.bumpCounter(Counter::AsyncDispatches);
-    while (pendingTickets_.size() > config_.asyncDepth) {
-        const mem::Cycles retire = pendingTickets_.front().second;
-        pendingTickets_.pop_front();
-        const mem::Cycles now = nowV();
-        if (retire > now) {
-            ctx.chargeStall(tid, retire - now);
-            ctx.bumpCounter(Counter::AsyncSyncs);
-        }
-    }
-    reportDispatch(ctx);
-    return BatchHandle{ticket};
+        replaceAtBarrier(ctx, tid);
+    return issueTicket(retireBatch(ctx, batch, front, completion));
 }
 
 BatchResult

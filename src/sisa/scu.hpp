@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -113,7 +114,7 @@ struct ScuConfig
      */
     std::uint32_t batchWorkers = 0;
     /**
-     * Set-to-vault placement policy consulted by dispatchBatch.
+     * Set-to-vault placement policy consulted by batched dispatch.
      * nullptr selects HashPlacement over pim.vaults (the historical
      * behavior). The policy's vault count MUST match pim.vaults:
      * setPlacement rejects a mismatched policy (with a warning) and
@@ -211,21 +212,33 @@ class Scu
                             SetId a, SetId b);
 
     /**
-     * Execute every operation of @p batch as ONE dispatch: a single
-     * decode, one metadata round per operand, then concurrent
-     * execution across the vaults. Each operation is routed to an
-     * execution vault by the configured Routing rule (the primary
-     * operand's vault; the bigger operand's under MinBytes; the
-     * vault the LPT batch scheduler picks under Balanced -- see the
-     * Routing enum); operations on the same vault serialize, vaults
-     * run in parallel, and the calling simulated thread is charged
-     * the makespan of the slowest vault (merged at the barrier from
-     * per-worker SimContexts) plus the cross-vault result reduction
-     * tree. On the host, the per-vault queues run on the worker pool
-     * with work stealing (VaultWorkerPool::runQueues): idle workers
-     * execute ops of the deepest queue while the owner retains all
-     * cycle charging, so wall-clock tracks the balanced makespan
-     * without disturbing the deterministic modeled accounting.
+     * Execute every operation of @p batch as ONE dispatch. Barriered
+     * and windowed (dispatchAsync) dispatch share every SCU stage:
+     *
+     *  1. front end: the analyzer gate (ScuConfig::analyze), serving
+     *     admission, the dispatch sequence number (fault coordinate),
+     *     one decode, and one metadata round per operand;
+     *  2. route: each operation gets an execution vault by the
+     *     configured Routing rule (the primary operand's vault; the
+     *     bigger operand's under MinBytes; the vault the LPT batch
+     *     scheduler picks under Balanced -- see the Routing enum);
+     *  3. lanes: operations on the same vault form one serial lane;
+     *  4. execute and charge (the only stage the two paths do
+     *     differently, together with how completion is paid);
+     *  5. the cross-vault result reduction tree;
+     *  6. retire: results materialize in request order, the fault
+     *     summary is taken, and the serving demand is reported.
+     *
+     * Here, vaults run in parallel and the calling simulated thread
+     * is charged, as busy cycles, the makespan of the slowest vault
+     * (merged at the barrier from per-worker SimContexts) plus the
+     * reduction tree. On the host, the per-vault queues run on the
+     * worker pool with work stealing (VaultWorkerPool::runQueues):
+     * idle workers execute ops of the deepest queue while the owner
+     * retains all cycle charging, so wall-clock tracks the balanced
+     * makespan without disturbing the deterministic modeled
+     * accounting. Lanes on a permanently failed vault fail-stop and
+     * their operations are recovered on live vaults (faults.hpp).
      *
      * Cross-vault traffic model: when an operation's co-operand
      * resolves to a DIFFERENT vault than its execution vault, the
@@ -262,10 +275,11 @@ class Scu
 
     /**
      * dispatchBatch without the barrier (config().asyncDepth > 0):
-     * the batch executes functionally IN ORDER at dispatch -- same
-     * results, result ids, traces, and functional counters as
-     * dispatchBatch, bit for bit -- but its modeled completion joins
-     * an in-flight window instead of stalling the issuing thread.
+     * the same pipeline stages, so the batch executes functionally
+     * IN ORDER at dispatch -- same results, result ids, traces, and
+     * functional counters as dispatchBatch, bit for bit -- but its
+     * modeled completion joins an in-flight window instead of
+     * stalling the issuing thread.
      * Per-vault virtual lane clocks carry load across the window's
      * batches; the scoreboard (analysis::DependencyWindow) joins the
      * new batch's lifted Program against the unretired defs, so an op
@@ -274,17 +288,19 @@ class Scu
      * immediately. The issuing thread is charged only when it truly
      * has to wait: the ROB-style in-order retire when more than
      * asyncDepth batches are pending, a serial-op dependency
-     * (syncRead), or drainWindow -- and then as STALL cycles, so
-     * makespan can only shrink relative to the barriered path.
+     * (syncRead), or drainWindow -- and then as STALL cycles (the
+     * barrier pays busy cycles), so makespan can only shrink
+     * relative to the barriered path.
      *
      * The window is bound to the dispatching (ctx, tid): a dispatch
      * or serial op from a different context/thread drains it first
      * (charging the bound thread). Permanent vault failures fence the
      * window: a dispatch whose sequence number carries fail points
-     * drains and delegates to dispatchBatch, so watchdog/quarantine/
-     * recovery semantics stay exactly barriered. Transient faults
-     * (corruption, drops, stalls) flow through unchanged -- same
-     * dispatch coordinates, same charges, same BatchFaultSummary.
+     * is handed to dispatchBatch (which drains the window first), so
+     * watchdog/quarantine/recovery semantics stay exactly barriered.
+     * Transient faults (corruption, drops, stalls) flow through
+     * unchanged -- same dispatch coordinates, same charges, same
+     * BatchFaultSummary.
      *
      * The returned handle's BatchResult is complete immediately;
      * collectBatch forwards it without charging (the SCU's result
@@ -304,13 +320,13 @@ class Scu
                              BatchHandle handle);
 
     /**
-     * Retire every in-flight async dispatch: the bound thread is
-     * charged the stall up to the latest pending modeled completion,
-     * the scoreboard and lane clocks reset, and heartbeat
-     * accumulation ends. A no-op when no window is active. Collected
+     * Retire every in-flight async dispatch: the window's BOUND
+     * thread (whoever forced the drain) is charged the stall up to
+     * the latest pending modeled completion, and the scoreboard and
+     * lane clocks reset. A no-op when no window is active. Collected
      * and uncollected results survive (collectBatch still works).
      */
-    void drainWindow(sim::SimContext &ctx, sim::ThreadId tid);
+    void drainWindow();
 
     /**
      * RAW edge from a serial read of @p id into the async window: if
@@ -322,7 +338,7 @@ class Scu
     void syncRead(sim::SimContext &ctx, sim::ThreadId tid, SetId id);
 
     /** In-flight async dispatches not yet retired (introspection). */
-    std::size_t asyncInFlight() const { return pendingTickets_.size(); }
+    std::size_t asyncInFlight() const { return inFlight_.size(); }
 
     /** Is an async window currently bound to a context? */
     bool asyncWindowActive() const { return windowCtx_ != nullptr; }
@@ -429,7 +445,7 @@ class Scu
     }
 
     /**
-     * Sequence number the NEXT non-empty dispatchBatch will carry --
+     * Sequence number the NEXT non-empty batch dispatch will carry --
      * the dispatch coordinate fault points are addressed by (empty
      * batches return early and do not consume a number).
      */
@@ -658,12 +674,11 @@ class Scu
 
     /**
      * Barrier step of dynamic re-placement: feed the transfers the
-     * workers recorded in laneFetched_ (exactly the charged ones, in
+     * lanes recorded in laneFetched_ (exactly the charged ones, in
      * deterministic lane order) to the DynamicPlacement policy and
      * apply + charge the migrations it returns.
      */
-    void replaceAtBarrier(sim::SimContext &ctx, sim::ThreadId tid,
-                          std::uint32_t lanes);
+    void replaceAtBarrier(sim::SimContext &ctx, sim::ThreadId tid);
 
     /**
      * Shrink-to-high-watermark policy for the dispatch scratch:
@@ -677,13 +692,98 @@ class Scu
     void maybeShrinkScratch(std::size_t n);
 
     /**
-     * First-touch lane build: group ops 0..n-1 by routes_[i].vault
-     * into laneOps_/laneVault_ (lane order = order of first
-     * appearance, deterministic) and reset the vault->lane table.
-     * Returns the lane count. Shared by dispatchBatch and
-     * dispatchAsync so both walk identical lanes.
+     * First-touch lane build: append @p ops (op indices) grouped by
+     * routes_[i].vault to laneOps_/laneVault_, opening lanes in order
+     * of first appearance (deterministic), and reset the vault->lane
+     * table. Returns the total lane count. routeBatch builds the
+     * dispatch's lanes from empty; permanent-failure recovery
+     * appends its replay lanes after them.
      */
-    std::uint32_t buildLanes(std::size_t n);
+    template <typename Ops>
+    std::uint32_t appendLanes(const Ops &ops);
+
+    // --- The dispatch pipeline (shared by dispatchBatch and
+    // dispatchAsync; see dispatchBatch for the stage list) ------------
+
+    /** Stage-1 output: the dispatch coordinate and fault baseline. */
+    struct DispatchFront
+    {
+        std::uint64_t index = 0;  ///< Dispatch sequence number.
+        BatchFaultSummary faults; ///< Fault totals before the batch.
+    };
+
+    /** Current absolute fault totals (BatchResult.faults baseline). */
+    BatchFaultSummary faultTotals(const sim::SimContext &ctx) const;
+
+    /**
+     * Front end of a non-empty batch: analyzer gate (a strict reject
+     * throws before anything else moves), serving admission, the
+     * async window's lazy opening when @p windowed, the sequence
+     * number and fault baseline, then the decode and metadata
+     * charges on (@p ctx, @p tid).
+     */
+    DispatchFront beginDispatch(sim::SimContext &ctx, sim::ThreadId tid,
+                                const BatchRequest &batch, bool windowed);
+
+    /**
+     * Fill failedVaults_ with the live vaults that permanently fail
+     * at @p dispatch (requires the injector); true if any does.
+     */
+    bool collectFailures(std::uint64_t dispatch);
+
+    /**
+     * Route stage plus the lane build: Balanced pre-executes the
+     * batch and schedules it, the other rules resolve each op; with
+     * @p execute_all every routing mode pre-executes (the window
+     * needs each op's cost before laying out lanes). Returns the
+     * lane count.
+     */
+    std::uint32_t routeBatch(const BatchRequest &batch,
+                             std::uint64_t dispatch, bool execute_all);
+
+    /**
+     * The LPT list-scheduling sweep: sort @p order by descending op
+     * cost, then assign each op to whichever operand vault finishes
+     * it first on fresh loads, transfer dedup priced in. Writes
+     * routes_ when @p write_routes (recovery re-routing); otherwise
+     * only simulates loads (balanced pass 1). Returns the makespan.
+     */
+    mem::Cycles lptSweep(const BatchRequest &batch,
+                         std::vector<std::uint32_t> &order,
+                         bool write_routes);
+
+    /**
+     * Cross-vault result reduction over the current lanes: returns
+     * the tree's summed level cycles and bumps
+     * setops.xvault_reduce_bytes, or nullopt when fewer than two
+     * lanes hold vault results (no tree runs).
+     */
+    std::optional<mem::Cycles> reduceResults(sim::SimContext &ctx);
+
+    /**
+     * Retire stage: last-backend scan, materialize/place/trace the
+     * results in request order, fault summary deltas, scratch
+     * shrink, and the serving report. A windowed dispatch passes its
+     * modeled @p completion: its results become pending defs, and
+     * the ROB retires the head past asyncDepth (a stall on the
+     * window's bound thread) before the report.
+     */
+    BatchResult retireBatch(sim::SimContext &ctx,
+                            const BatchRequest &batch,
+                            const DispatchFront &front,
+                            std::optional<mem::Cycles> completion);
+
+    /**
+     * Barrier-only dead-lane recovery: watchdog timeout, quarantine
+     * of failedVaults_, re-routing of the stranded ops of the lanes
+     * @p lane_is_dead marks, and their replay on appended recovery
+     * lanes. Returns the cycles it adds to the makespan.
+     */
+    mem::Cycles recoverFailedLanes(sim::SimContext &ctx,
+                                   sim::ThreadId tid,
+                                   const BatchRequest &batch,
+                                   std::uint64_t dispatch,
+                                   const std::vector<char> &lane_is_dead);
 
     /**
      * The accounting half of batched op @p i on lane @p l: remote
@@ -714,6 +814,12 @@ class Scu
      * @p id: stall to max(pending def, last pending read) of @p id.
      */
     void syncWrite(sim::SimContext &ctx, sim::ThreadId tid, SetId id);
+
+    /**
+     * Stall the window's bound thread up to virtual time @p horizon
+     * (a sync point: scu.async_syncs); a no-op if already past it.
+     */
+    void stallWindowTo(mem::Cycles horizon);
 
     /** Virtual now: the bound thread's cycles past the window base. */
     mem::Cycles nowV() const
@@ -799,6 +905,16 @@ class Scu
      */
     void cancelWindow();
 
+    /**
+     * The settlement drainWindow and cancelWindow share: stall the
+     * bound thread to the latest pending completion, close the
+     * window, reset its state. Returns the stall charged.
+     */
+    mem::Cycles settleWindow();
+
+    /** Hand @p result back as a ticket for collectBatch. */
+    BatchHandle issueTicket(BatchResult &&result);
+
     /** Close the grant: report the dispatch's demand (see bindQuery). */
     void reportDispatch(const sim::SimContext &ctx);
 
@@ -871,7 +987,7 @@ class Scu
     std::vector<std::uint32_t> failedVaults_;  ///< Recovery scratch.
     std::vector<std::uint32_t> recoveredOps_;  ///< Recovery scratch.
 
-    // Scratch reused across dispatchBatch calls so a small batch does
+    // Scratch reused across batch dispatches so a small batch does
     // not pay fresh allocations (instruction issue on one SCU is not
     // reentrant, like the SMB state above). Bounded by the shrink-to-
     // high-watermark policy in maybeShrinkScratch.
@@ -924,8 +1040,8 @@ class Scu
     mem::Cycles reduceEndV_ = 0;
     /** RAW/WAR scoreboard over unretired defs and payload reads. */
     analysis::DependencyWindow deps_;
-    /** In-flight (ticket, completion) in dispatch order (the ROB). */
-    std::deque<std::pair<std::uint64_t, mem::Cycles>> pendingTickets_;
+    /** In-flight modeled completions in dispatch order (the ROB). */
+    std::deque<mem::Cycles> inFlight_;
     /** Dispatched-but-uncollected results (survive the drain). */
     std::unordered_map<std::uint64_t, BatchResult> pendingResults_;
     std::uint64_t nextTicket_ = 0;

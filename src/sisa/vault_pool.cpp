@@ -53,31 +53,8 @@ VaultWorkerPool::runQueues(
     const auto lanes = static_cast<std::uint32_t>(lane_sizes.size());
     owners = std::min(std::max(owners, 1u), std::max(lanes, 1u));
 
-    {
-        const std::lock_guard<std::mutex> beat_lock(beatMutex_);
-        if (laneBeatsCapacity_ < lanes) {
-            auto grown =
-                std::make_unique<std::atomic<std::uint32_t>[]>(lanes);
-            if (accumulateBeats_) {
-                // Mid-window growth must not drop the evidence
-                // already gathered for the existing lanes.
-                for (std::size_t l = 0; l < laneBeatsCapacity_; ++l)
-                    grown[l].store(
-                        laneBeats_[l].load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-            }
-            laneBeats_ = std::move(grown);
-            laneBeatsCapacity_ = lanes;
-        }
-        if (!accumulateBeats_) {
-            for (std::uint32_t l = 0; l < lanes; ++l)
-                laneBeats_[l].store(0, std::memory_order_relaxed);
-        }
-    }
-
     // A dead lane's vault fail-stopped: nobody executes or charges
-    // its operations and its heartbeat stays at zero (the watchdog's
-    // timeout evidence); the SCU re-routes them in its recovery pass.
+    // its operations; the SCU re-routes them in its recovery pass.
     const auto dead = [&](std::uint32_t l) {
         return lane_dead && (*lane_dead)(l);
     };
@@ -96,8 +73,6 @@ VaultWorkerPool::runQueues(
                      ++pos) {
                     execute(l, pos);
                     charge(w, l, pos);
-                    laneBeats_[l].fetch_add(
-                        1, std::memory_order_relaxed);
                 }
             }
         });
@@ -165,8 +140,6 @@ VaultWorkerPool::runQueues(
                             std::this_thread::yield();
                     }
                     charge(w, l, pos);
-                    laneBeats_[l].fetch_add(
-                        1, std::memory_order_relaxed);
                 }
             }
         }
@@ -211,15 +184,6 @@ VaultWorkerPool::runQueues(
             }
         }
     });
-}
-
-void
-VaultWorkerPool::setBeatAccumulation(bool accumulate)
-{
-    const std::lock_guard<std::mutex> lock(beatMutex_);
-    accumulateBeats_ = accumulate;
-    for (std::size_t l = 0; l < laneBeatsCapacity_; ++l)
-        laneBeats_[l].store(0, std::memory_order_relaxed);
 }
 
 void

@@ -19,15 +19,16 @@
  *
  * The pool is purely an execution vehicle for the host simulator; all
  * *modeled* parallelism (per-vault cycle accounting, cross-vault
- * transfer charges and byte counters, makespan merge) lives in
- * Scu::dispatchBatch. Each worker's private SimContext carries its
- * vaults' scu.xvault_transfers / setops.xvault_bytes tallies until
- * the barrier merges them into the issuing thread's context.
+ * transfer charges and byte counters, makespan merge) lives in the
+ * SCU's dispatch pipeline. On the barriered path each worker's
+ * private SimContext carries its vaults' scu.xvault_transfers /
+ * setops.xvault_bytes tallies until the barrier merges them into the
+ * issuing thread's context.
  *
  * SHARING. One pool may back several SCUs (Scu::adoptPool): the
  * serving layer's K query sessions dispatch into one set of host
  * workers instead of spawning K pools. The pool itself stays
- * single-dispatch -- runQueues' claim/beat scratch is not reentrant
+ * single-dispatch -- runQueues' claim scratch is not reentrant
  * -- so sharers must serialize their dispatches. The serving layer's
  * lockstep QueryScheduler (sisa/serving.hpp) guarantees exactly that:
  * at most one session holds the dispatch grant at a time.
@@ -100,10 +101,9 @@ class VaultWorkerPool
      *
      * @p lane_dead (optional) is the fault model's fail-stop hook: a
      * lane for which it returns true is on a dead vault -- nobody
-     * executes or charges its operations (the SCU re-routes them in
-     * its recovery pass) and its heartbeat counter stays at zero,
-     * which is exactly the evidence the watchdog's timeout charge
-     * models. nullptr (the fault-free case) changes nothing.
+     * executes, steals, or charges its operations (the SCU re-routes
+     * them in its recovery pass). nullptr (the fault-free case)
+     * changes nothing.
      */
     void runQueues(
         const std::vector<std::uint32_t> &lane_sizes,
@@ -116,34 +116,6 @@ class VaultWorkerPool
         bool steal,
         const std::function<bool(std::uint32_t lane)> *lane_dead =
             nullptr);
-
-    /**
-     * Heartbeat of lane @p lane after the last runQueues: the number
-     * of operations its owner charged. A lane whose vault died shows
-     * zero beats -- the signal the SCU's heartbeat watchdog times out
-     * on (introspection for the fault tests).
-     */
-    std::uint32_t
-    laneBeats(std::uint32_t lane) const
-    {
-        const std::lock_guard<std::mutex> lock(beatMutex_);
-        return lane < laneBeatsCapacity_
-                   ? laneBeats_[lane].load(std::memory_order_relaxed)
-                   : 0;
-    }
-
-    /**
-     * Heartbeat accounting mode. Off (the default), every runQueues
-     * call resets the beat counters first, so laneBeats() reports the
-     * last dispatch only -- the barriered contract. The SCU's async
-     * window turns accumulation ON for the window's lifetime: lanes
-     * then accept operations from multiple in-flight batches, and the
-     * watchdog evidence must span all of them, so beats accumulate
-     * across runQueues calls until the mode is switched again. Either
-     * transition clears the counters (a window opens, or closes, with
-     * fresh evidence).
-     */
-    void setBeatAccumulation(bool accumulate);
 
   private:
     void workerLoop(std::uint32_t index);
@@ -169,17 +141,6 @@ class VaultWorkerPool
     /** Per-lane count of claimed ops (the thieves' depth estimate). */
     std::unique_ptr<std::atomic<std::uint32_t>[]> laneClaimed_;
     std::size_t laneClaimedCapacity_ = 0;
-    /**
-     * Per-lane charged-op heartbeats (see laneBeats). Guarded by
-     * beatMutex_ against the shared-pool case: a session draining its
-     * async window (setBeatAccumulation) may be host-concurrent with
-     * another session's granted runQueues growing the array.
-     */
-    std::unique_ptr<std::atomic<std::uint32_t>[]> laneBeats_;
-    std::size_t laneBeatsCapacity_ = 0;
-    /** Accumulate beats across runQueues calls (async window). */
-    bool accumulateBeats_ = false;
-    mutable std::mutex beatMutex_;
 };
 
 } // namespace sisa::isa

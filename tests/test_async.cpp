@@ -152,7 +152,7 @@ runCampaign(const ScuConfig &config, bool locality,
             makeRequest(pool, ops_per_batch, seed + b);
         handles.push_back(scu.dispatchAsync(ctx, 0, req));
     }
-    scu.drainWindow(ctx, 0);
+    scu.drainWindow();
     for (const BatchHandle &handle : handles) {
         const BatchResult res = scu.collectBatch(ctx, 0, handle);
         for (const BatchEntry &entry : res.entries) {
@@ -313,7 +313,7 @@ TEST(AsyncWindow, DepthBoundsInFlightBatches)
         EXPECT_LE(fx.scu->asyncInFlight(), 2u);
     }
     EXPECT_TRUE(fx.scu->asyncWindowActive());
-    fx.scu->drainWindow(ctx, 0);
+    fx.scu->drainWindow();
     EXPECT_FALSE(fx.scu->asyncWindowActive());
     EXPECT_EQ(fx.scu->asyncInFlight(), 0u);
     // Results survive the drain: every ticket still redeems.
@@ -337,7 +337,7 @@ TEST(AsyncWindow, RebindingThreadDrainsTheWindow)
     EXPECT_TRUE(fx.scu->asyncWindowActive());
     EXPECT_EQ(ctx.counter("scu.async_drains"), 1u);
     EXPECT_EQ(fx.scu->asyncInFlight(), 1u);
-    fx.scu->drainWindow(ctx, 1);
+    fx.scu->drainWindow();
     EXPECT_EQ(ctx.counter("scu.async_drains"), 2u);
 }
 

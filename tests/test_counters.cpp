@@ -48,14 +48,19 @@ dump(const Counters &counters)
     return out.str();
 }
 
-/** Run @p problem through the sisa_run harness; dump its counters. */
+/**
+ * Run @p problem through the sisa_run harness; dump its value, its
+ * modeled makespan, and its counters.
+ */
 std::string
 runDump(const std::string &problem, const bench::RunConfig &rc)
 {
     const bench::RunOutcome out = bench::runProblem(
         problem, goldenGraph(), bench::Mode::Sisa, rc);
     std::ostringstream text;
-    text << "value=" << out.value << '\n' << dump(out.ctx->counters());
+    text << "value=" << out.value << '\n'
+         << "cycles=" << out.cycles << '\n'
+         << dump(out.ctx->counters());
     return text.str();
 }
 
@@ -76,6 +81,7 @@ TEST(CounterGolden, BarrieredTriangleCount)
 {
     EXPECT_EQ(runDump("tc", smokeConfig()),
               "value=3817\n"
+              "cycles=43907\n"
               "scu.batch_dispatches=213\n"
               "scu.batch_ops=1299\n"
               "scu.migrations=9\n"
@@ -102,6 +108,7 @@ TEST(CounterGolden, BronKerboschSerialCreateDestroy)
     rc.cutoff = 40;
     EXPECT_EQ(runDump("mc", rc),
               "value=80\n"
+              "cycles=132319\n"
               "scu.batch_dispatches=131\n"
               "scu.batch_ops=326\n"
               "scu.pnm_random_ops=148\n"
@@ -125,6 +132,7 @@ TEST(CounterGolden, AsyncTriangleCount)
     rc.scu.asyncDepth = 8; // async=on
     EXPECT_EQ(runDump("tc", rc),
               "value=3817\n"
+              "cycles=20340\n"
               "scu.async_dispatches=213\n"
               "scu.async_drains=4\n"
               "scu.async_syncs=82\n"
@@ -156,6 +164,47 @@ TEST(CounterGolden, FaultCampaignTriangleCount)
     rc.scu.faults = *faults;
     EXPECT_EQ(runDump("tc", rc),
               "value=3817\n"
+              "cycles=64325\n"
+              "scu.batch_dispatches=213\n"
+              "scu.batch_ops=1299\n"
+              "scu.checksum_verifies=2078\n"
+              "scu.lane_stalls=4\n"
+              "scu.migrations=11\n"
+              "scu.pnm_random_ops=322\n"
+              "scu.pnm_stream_ops=852\n"
+              "scu.pum_ops=683\n"
+              "scu.quarantines=1\n"
+              "scu.retries=19\n"
+              "scu.short_circuits=125\n"
+              "scu.smb_hits=2191\n"
+              "scu.smb_misses=407\n"
+              "scu.xvault_transfers=904\n"
+              "setops.migration_bytes=84\n"
+              "setops.output=3817\n"
+              "setops.probes=1302\n"
+              "setops.recovery_bytes=168\n"
+              "setops.streamed=1571\n"
+              "setops.words=2732\n"
+              "setops.xvault_bytes=22020\n"
+              "setops.xvault_reduce_bytes=9496\n");
+}
+
+TEST(CounterGolden, AsyncFaultCampaignTriangleCount)
+{
+    // The permanent-failure fence: the dispatch carrying fail=3@2
+    // drains the window and runs barriered, recovery included.
+    bench::RunConfig rc = smokeConfig();
+    rc.scu.asyncDepth = 8; // async=on
+    const auto faults = isa::parseFaultSpec(
+        "seed=7,corrupt=0.01,stall=0.005,drop=0.005,fail=3@2");
+    ASSERT_TRUE(faults.has_value());
+    rc.scu.faults = *faults;
+    EXPECT_EQ(runDump("tc", rc),
+              "value=3817\n"
+              "cycles=41244\n"
+              "scu.async_dispatches=212\n"
+              "scu.async_drains=5\n"
+              "scu.async_syncs=103\n"
               "scu.batch_dispatches=213\n"
               "scu.batch_ops=1299\n"
               "scu.checksum_verifies=2078\n"
