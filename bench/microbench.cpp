@@ -355,7 +355,10 @@ runKernelSweep(const std::string &json_path)
     // the JSON). The 4x64 row is the bk-dense dispatch shape -- a
     // handful of ops on tiny sets, one host worker -- where the fixed
     // per-dispatch cost (front end, lane build, per-worker context
-    // setup and counter merge) dominates the set kernels.
+    // setup and counter merge) dominates the set kernels. The 86x1k
+    // row is triangle counting's mean batch (86 intersect-card ops,
+    // one host worker), where the per-op host path (operand-fetch
+    // dedup, metadata reads, charges) is what the batch pays for.
     {
         struct DispatchShape
         {
@@ -367,7 +370,8 @@ runKernelSweep(const std::string &json_path)
         for (const DispatchShape &shape :
              {DispatchShape{"batched_dispatch_64x4k", 64, 1u << 12, 0},
               DispatchShape{"batched_dispatch_64x64k", 64, 1u << 16, 0},
-              DispatchShape{"batched_dispatch_4x64", 4, 64, 1}}) {
+              DispatchShape{"batched_dispatch_4x64", 4, 64, 1},
+              DispatchShape{"batched_dispatch_86x1k", 86, 1u << 10, 1}}) {
             const std::size_t ops = shape.ops;
             const Element universe = 1u << 20;
             isa::ScuConfig cfg;

@@ -26,19 +26,25 @@ SimContext::SimContext(std::uint32_t num_threads)
 }
 
 void
-SimContext::chargeBusy(ThreadId tid, Cycles cycles)
+SimContext::reset(std::uint32_t num_threads)
 {
-    busy_[tid] += cycles;
-    if (activeQuery_ != no_query)
-        queryAccounts_[activeQuery_].busy += cycles;
+    sisa_assert(num_threads >= 1, "need at least one simulated thread");
+    numThreads_ = num_threads;
+    busy_.assign(num_threads, 0);
+    stall_.assign(num_threads, 0);
+    patterns_.assign(num_threads, 0);
+    patternCutoff_ = 0;
+    traceEnabled_ = false;
+    traces_.clear();
+    counters_ = {};
+    activeQuery_ = no_query;
+    queryAccounts_.clear();
 }
 
-void
-SimContext::chargeStall(ThreadId tid, Cycles cycles)
+QueryAccount &
+SimContext::activeAccount()
 {
-    stall_[tid] += cycles;
-    if (activeQuery_ != no_query)
-        queryAccounts_[activeQuery_].stall += cycles;
+    return queryAccounts_[activeQuery_];
 }
 
 const QueryAccount &
@@ -105,13 +111,6 @@ SimContext::enableSetSizeTrace(std::uint64_t bin_width)
         traces_.emplace_back(bin_width);
 }
 
-void
-SimContext::recordSetSize(ThreadId tid, std::uint64_t size)
-{
-    if (traceEnabled_)
-        traces_[tid].add(size);
-}
-
 const support::Histogram &
 SimContext::setSizeTrace(ThreadId tid) const
 {
@@ -123,19 +122,6 @@ void
 SimContext::setPatternCutoff(std::uint64_t per_thread)
 {
     patternCutoff_ = per_thread;
-}
-
-bool
-SimContext::countPattern(ThreadId tid)
-{
-    ++patterns_[tid];
-    return patternCutoff_ == 0 || patterns_[tid] < patternCutoff_;
-}
-
-bool
-SimContext::cutoffReached(ThreadId tid) const
-{
-    return patternCutoff_ != 0 && patterns_[tid] >= patternCutoff_;
 }
 
 std::uint64_t

@@ -17,6 +17,7 @@
 #ifndef SISA_SIM_CONTEXT_HPP
 #define SISA_SIM_CONTEXT_HPP
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
@@ -261,6 +262,16 @@ class SimContext
   public:
     explicit SimContext(std::uint32_t num_threads);
 
+    /**
+     * Return to the state of a fresh SimContext(@p num_threads):
+     * zero cycles, patterns and counters, no cutoff, no trace, no
+     * query accounts, unbound. Keeps the per-thread vectors'
+     * capacity, so a context reused as dispatch scratch (one per
+     * host worker) allocates nothing once it has seen its widest
+     * dispatch.
+     */
+    void reset(std::uint32_t num_threads);
+
     std::uint32_t numThreads() const { return numThreads_; }
 
     // --- Per-query scoping (multi-tenant serving) -------------------------
@@ -294,10 +305,22 @@ class SimContext
     void absorbQueryAccounting(const SimContext &other);
 
     /** Charge compute (non-stalled) cycles to thread @p tid. */
-    void chargeBusy(ThreadId tid, Cycles cycles);
+    void
+    chargeBusy(ThreadId tid, Cycles cycles)
+    {
+        busy_[tid] += cycles;
+        if (activeQuery_ != no_query)
+            activeAccount().busy += cycles;
+    }
 
     /** Charge memory-stall cycles to thread @p tid. */
-    void chargeStall(ThreadId tid, Cycles cycles);
+    void
+    chargeStall(ThreadId tid, Cycles cycles)
+    {
+        stall_[tid] += cycles;
+        if (activeQuery_ != no_query)
+            activeAccount().stall += cycles;
+    }
 
     /** Total cycles consumed by @p tid (busy + stall). */
     Cycles threadCycles(ThreadId tid) const;
@@ -330,7 +353,12 @@ class SimContext
     bool setSizeTraceEnabled() const { return traceEnabled_; }
 
     /** Record that @p tid processed a set of @p size elements. */
-    void recordSetSize(ThreadId tid, std::uint64_t size);
+    void
+    recordSetSize(ThreadId tid, std::uint64_t size)
+    {
+        if (traceEnabled_)
+            traces_[tid].add(size);
+    }
 
     /** Per-thread histogram of processed set sizes. */
     const support::Histogram &setSizeTrace(ThreadId tid) const;
@@ -347,10 +375,43 @@ class SimContext
      * Report one found pattern (clique, match, ...) on @p tid.
      * @return true while the thread is within its cutoff.
      */
-    bool countPattern(ThreadId tid);
+    bool
+    countPattern(ThreadId tid)
+    {
+        ++patterns_[tid];
+        return patternCutoff_ == 0 || patterns_[tid] < patternCutoff_;
+    }
+
+    /**
+     * Report @p n found patterns on @p tid at once: exactly the
+     * state @p n countPattern calls leave when the caller stops at
+     * the first false. With no cutoff the count grows by @p n; a
+     * thread already at its cutoff takes one more pattern (the call
+     * that returns false) if @p n > 0; otherwise the count grows by
+     * @p n but stops at the cutoff.
+     * @return !cutoffReached(tid) afterwards.
+     */
+    bool
+    countPatterns(ThreadId tid, std::uint64_t n)
+    {
+        std::uint64_t &p = patterns_[tid];
+        if (patternCutoff_ == 0) {
+            p += n;
+            return true;
+        }
+        if (p >= patternCutoff_)
+            p += n > 0 ? 1 : 0;
+        else
+            p += std::min(n, patternCutoff_ - p);
+        return p < patternCutoff_;
+    }
 
     /** Whether @p tid exhausted its pattern budget. */
-    bool cutoffReached(ThreadId tid) const;
+    bool
+    cutoffReached(ThreadId tid) const
+    {
+        return patternCutoff_ != 0 && patterns_[tid] >= patternCutoff_;
+    }
 
     std::uint64_t patterns(ThreadId tid) const { return patterns_[tid]; }
     std::uint64_t totalPatterns() const;
@@ -367,7 +428,7 @@ class SimContext
     {
         counters_.add(id, delta);
         if (activeQuery_ != no_query)
-            queryAccounts_[activeQuery_].counters.add(id, delta);
+            activeAccount().counters.add(id, delta);
     }
 
     /**
@@ -400,6 +461,9 @@ class SimContext
     }
 
   private:
+    /** The bound query's account (the out-of-line, bound branch). */
+    QueryAccount &activeAccount();
+
     std::uint32_t numThreads_;
     std::vector<Cycles> busy_;
     std::vector<Cycles> stall_;

@@ -1248,8 +1248,48 @@ Scu::appendLanes(const Ops &ops)
 }
 
 void
+Scu::FetchDedup::beginLane(std::uint32_t l)
+{
+    lane = l;
+    if (++epoch == 0) {
+        // The epoch wrapped: stale stamps could alias the new one.
+        std::fill(epochOf.begin(), epochOf.end(), 0);
+        epoch = 1;
+    }
+}
+
+bool
+Scu::FetchDedup::firstFetch(SetId id)
+{
+    if (id >= epochOf.size()) [[unlikely]]
+        epochOf.resize(static_cast<std::size_t>(id) + 1, 0);
+    if (epochOf[id] == epoch)
+        return false;
+    epochOf[id] = epoch;
+    return true;
+}
+
+std::span<sim::SimContext>
+Scu::resetChargeScratch(std::uint32_t workers, std::uint32_t lanes,
+                        sim::QueryId query)
+{
+    while (workerCtx_.size() < workers)
+        workerCtx_.emplace_back(1);
+    if (fetchDedup_.size() < workers)
+        fetchDedup_.resize(workers);
+    for (std::uint32_t w = 0; w < workers; ++w) {
+        workerCtx_[w].reset((lanes - w + workers - 1) / workers);
+        // Tag lane charges with the issuing context's query so the
+        // barrier's absorbCounters lands them in its account.
+        workerCtx_[w].bindQuery(query);
+        fetchDedup_[w].lane = UINT32_MAX;
+    }
+    return {workerCtx_.data(), workers};
+}
+
+void
 Scu::chargeLaneOp(sim::SimContext &wctx, sim::ThreadId lane_tid,
-                  std::unordered_set<SetId> &fetched, std::uint32_t l,
+                  FetchDedup &fetched, std::uint32_t l,
                   std::uint32_t i, std::uint64_t dispatch_idx)
 {
     // The accounting half of op i on lane l, with `fetched` deduping
@@ -1265,8 +1305,7 @@ Scu::chargeLaneOp(sim::SimContext &wctx, sim::ThreadId lane_tid,
     const OpOutcome &outcome = outcomes_[i];
     const bool reads_remote =
         route.remoteIsB ? outcome.readsB : outcome.readsA;
-    if (route.bytes && reads_remote &&
-        fetched.insert(route.remote).second) {
+    if (route.bytes && reads_remote && fetched.firstFetch(route.remote)) {
         if (faults_) {
             // Interconnect drops: every lost transfer pays its full
             // b_L crossing plus the retry backoff, then retransmits;
@@ -1634,11 +1673,10 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
     // fail-stop (nobody executes or charges them) and
     // recoverFailedLanes re-routes the stranded ops.
     const bool have_failures = faults_ && collectFailures(dispatch_idx);
-    std::vector<char> lane_is_dead;
     if (have_failures) {
-        lane_is_dead.resize(lanes);
+        laneDead_.resize(lanes);
         for (std::uint32_t l = 0; l < lanes; ++l) {
-            lane_is_dead[l] =
+            laneDead_[l] =
                 std::binary_search(failedVaults_.begin(),
                                    failedVaults_.end(), laneVault_[l])
                     ? 1
@@ -1646,21 +1684,13 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
         }
     }
     const std::function<bool(std::uint32_t)> lane_dead_fn =
-        [&](std::uint32_t l) { return lane_is_dead[l] != 0; };
+        [this](std::uint32_t l) { return laneDead_[l] != 0; };
 
     // Worker w executes lanes l with l % workers == w, charging
     // modeled cycles into its private SimContext (one logical thread
     // per lane) -- no shared mutable state until the barrier.
-    std::vector<sim::SimContext> worker_ctx;
-    worker_ctx.reserve(workers);
-    for (std::uint32_t w = 0; w < workers; ++w) {
-        const std::uint32_t own =
-            (lanes - w + workers - 1) / workers;
-        worker_ctx.emplace_back(own);
-        // Tag lane charges with the issuing context's query so the
-        // barrier's absorbCounters lands them in its account.
-        worker_ctx.back().bindQuery(ctx.activeQuery());
-    }
+    const std::span<sim::SimContext> worker_ctx =
+        resetChargeScratch(workers, lanes, ctx.activeQuery());
 
     laneSizes_.resize(lanes);
     for (std::uint32_t l = 0; l < lanes; ++l)
@@ -1678,31 +1708,24 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
 
     // Worker wrapper: only the lane's owning worker charges, in
     // lane-op order, into its private SimContext -- deterministic no
-    // matter who executed the op. The per-worker `fetched` hash set
-    // dedups remote operands already pulled into the current lane
+    // matter who executed the op. The worker's FetchDedup remembers
+    // the remote operands already pulled into the current lane
     // (fetched once, reused by later ops; the batched_dispatch_
     // 1vault_* bench row guards the large single-vault case). Owners
-    // visit their lanes in index order, so lane changes reset it.
-    struct LaneChargeState
-    {
-        std::unordered_set<SetId> fetched;
-        std::uint32_t lane = UINT32_MAX;
-    };
-    std::vector<LaneChargeState> charge_state(workers);
+    // visit their lanes in index order, so a lane change starts a
+    // new dedup epoch.
     const auto charge_op = [&](std::uint32_t w, std::uint32_t l,
                                std::uint32_t pos) {
-        LaneChargeState &cs = charge_state[w];
-        if (cs.lane != l) {
-            cs.fetched.clear();
-            cs.lane = l;
-        }
-        chargeLaneOp(worker_ctx[w], l / workers, cs.fetched, l,
+        FetchDedup &fetched = fetchDedup_[w];
+        if (fetched.lane != l)
+            fetched.beginLane(l);
+        chargeLaneOp(worker_ctx[w], l / workers, fetched, l,
                      lane_ops[l][pos], dispatch_idx);
     };
 
     if (workers <= 1) {
         for (std::uint32_t l = 0; l < lanes; ++l) {
-            if (have_failures && lane_is_dead[l])
+            if (have_failures && laneDead_[l])
                 continue;
             for (std::uint32_t pos = 0; pos < laneSizes_[l]; ++pos) {
                 execute_op(l, pos);
@@ -1735,8 +1758,7 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
         }
     }
     if (have_failures) {
-        makespan += recoverFailedLanes(ctx, tid, batch, dispatch_idx,
-                                       lane_is_dead);
+        makespan += recoverFailedLanes(ctx, tid, batch, dispatch_idx);
     }
     makespan += reduceResults(ctx).value_or(0);
     ctx.chargeBusy(tid, makespan);
@@ -1753,8 +1775,7 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
 mem::Cycles
 Scu::recoverFailedLanes(sim::SimContext &ctx, sim::ThreadId tid,
                         const BatchRequest &batch,
-                        std::uint64_t dispatch,
-                        const std::vector<char> &lane_is_dead)
+                        std::uint64_t dispatch)
 {
     // The SCU's watchdog detects the failures one heartbeat timeout
     // after the healthy barrier (the failed vaults are known from the
@@ -1775,7 +1796,7 @@ Scu::recoverFailedLanes(sim::SimContext &ctx, sim::ThreadId tid,
     const auto lanes = static_cast<std::uint32_t>(laneVault_.size());
     recoveredOps_.clear();
     for (std::uint32_t l = 0; l < lanes; ++l) {
-        if (!lane_is_dead[l])
+        if (!laneDead_[l])
             continue;
         recoveredOps_.insert(recoveredOps_.end(), laneOps_[l].begin(),
                              laneOps_[l].end());
@@ -1801,15 +1822,17 @@ Scu::recoverFailedLanes(sim::SimContext &ctx, sim::ThreadId tid,
     // run -- their vault died first) and charge through the shared
     // lane rule, one modeled thread per recovery lane (the
     // replacement vaults run concurrently), serial on the host --
-    // recovery is the rare path. The replay phase starts after the
-    // watchdog fired, so its makespan adds to the dispatch's.
+    // recovery is the rare path, so its context is its own (the
+    // workers' contexts still hold counters the barrier merges). The
+    // replay phase starts after the watchdog fired, so its makespan
+    // adds to the dispatch's.
     sim::SimContext rctx(rec_lanes);
     rctx.bindQuery(ctx.activeQuery());
-    std::unordered_set<SetId> fetched;
+    FetchDedup &fetched = fetchDedup_[0];
     mem::Cycles replay = 0;
     for (std::uint32_t rl = 0; rl < rec_lanes; ++rl) {
         const std::uint32_t l = lanes + rl;
-        fetched.clear();
+        fetched.beginLane(l);
         for (const std::uint32_t i : laneOps_[l]) {
             if (!balanced)
                 outcomes_[i] = executeOp(dispatch, i, batch.ops[i]);
@@ -1999,7 +2022,13 @@ BatchHandle
 Scu::issueTicket(BatchResult &&result)
 {
     const std::uint64_t ticket = nextTicket_++;
-    pendingResults_.emplace(ticket, std::move(result));
+    if (spareTicket_) {
+        spareTicket_.key() = ticket;
+        spareTicket_.mapped() = std::move(result);
+        pendingResults_.insert(std::move(spareTicket_));
+    } else {
+        pendingResults_.emplace(ticket, std::move(result));
+    }
     return BatchHandle{ticket};
 }
 
@@ -2056,13 +2085,13 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
     // window's batches, which is precisely where the overlap win
     // comes from. Counters merge into ctx below (absorbCounters), so
     // counter totals stay bit-identical to dispatchBatch.
-    sim::SimContext acct(1);
-    acct.bindQuery(ctx.activeQuery());
-    std::unordered_set<SetId> fetched;
+    sim::SimContext &acct =
+        resetChargeScratch(1, 1, ctx.activeQuery()).front();
+    FetchDedup &fetched = fetchDedup_[0];
     mem::Cycles batch_end = issue_v;
     for (std::uint32_t l = 0; l < lanes; ++l) {
         const std::uint32_t vault = laneVault_[l];
-        fetched.clear();
+        fetched.beginLane(l);
         const mem::Cycles lane_entry = acct.threadCycles(0);
         mem::Cycles lane_clock =
             std::max(laneClockV_[vault], issue_v);
@@ -2119,7 +2148,7 @@ Scu::collectBatch(sim::SimContext &, sim::ThreadId, BatchHandle handle)
     sisa_assert(it != pendingResults_.end(),
                 "collectBatch: unknown or already-collected ticket");
     BatchResult out = std::move(it->second);
-    pendingResults_.erase(it);
+    spareTicket_ = pendingResults_.extract(it);
     return out;
 }
 

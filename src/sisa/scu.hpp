@@ -26,6 +26,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -776,14 +777,47 @@ class Scu
     /**
      * Barrier-only dead-lane recovery: watchdog timeout, quarantine
      * of failedVaults_, re-routing of the stranded ops of the lanes
-     * @p lane_is_dead marks, and their replay on appended recovery
-     * lanes. Returns the cycles it adds to the makespan.
+     * laneDead_ marks, and their replay on appended recovery lanes.
+     * Returns the cycles it adds to the makespan.
      */
     mem::Cycles recoverFailedLanes(sim::SimContext &ctx,
                                    sim::ThreadId tid,
                                    const BatchRequest &batch,
-                                   std::uint64_t dispatch,
-                                   const std::vector<char> &lane_is_dead);
+                                   std::uint64_t dispatch);
+
+    /**
+     * Operand-fetch dedup of one charging worker: which remote
+     * operands its current lane already pulled. A flat table indexed
+     * by SetId holds the lane epoch of each id's last fetch; starting
+     * a lane bumps the epoch, so nothing is cleared per lane, a
+     * lookup-and-insert is one compare and one store, and the table
+     * keeps its capacity across dispatches (it grows to the highest
+     * fetched id, 4 B per id).
+     */
+    struct alignas(64) FetchDedup
+    {
+        std::vector<std::uint32_t> epochOf; ///< SetId -> lane epoch.
+        std::uint32_t epoch = 0;            ///< Current lane's epoch.
+        std::uint32_t lane = UINT32_MAX;    ///< Lane of that epoch.
+
+        /** Start lane @p l: every id counts as not yet fetched. */
+        void beginLane(std::uint32_t l);
+
+        /** True the first time @p id is fetched in the current lane. */
+        bool firstFetch(SetId id);
+    };
+
+    /**
+     * Reset the first @p workers charge-scratch entries for a
+     * dispatch of @p lanes lanes: worker w's context gets one
+     * modeled thread per lane it owns (l % workers == w) and is
+     * bound to @p query, and its dedup starts with no current lane.
+     * Allocates only when a dispatch is wider (more workers or more
+     * lanes per worker) than every one before it.
+     */
+    std::span<sim::SimContext> resetChargeScratch(std::uint32_t workers,
+                                                  std::uint32_t lanes,
+                                                  sim::QueryId query);
 
     /**
      * The accounting half of batched op @p i on lane @p l: remote
@@ -796,7 +830,7 @@ class Scu
      * virtual-time accounting, so all three bill one rule.
      */
     void chargeLaneOp(sim::SimContext &wctx, sim::ThreadId lane_tid,
-                      std::unordered_set<SetId> &fetched,
+                      FetchDedup &fetched,
                       std::uint32_t l, std::uint32_t i,
                       std::uint64_t dispatch_idx);
 
@@ -1020,6 +1054,19 @@ class Scu
      */
     std::vector<std::vector<std::pair<SetId, std::uint64_t>>>
         laneFetched_;
+    /**
+     * Per-dispatch charge scratch, one entry per host worker, reset
+     * by each dispatch with its capacity kept: the barrier's private
+     * lane contexts (worker w charges lanes l with l % workers == w
+     * as its modeled thread l / workers; the window charges into
+     * entry 0) and the workers' fetch dedup tables (the recovery
+     * replay reuses entry 0's). With them a fault-free 1-worker
+     * barriered dispatch allocates only its BatchResult.entries.
+     */
+    std::vector<sim::SimContext> workerCtx_;
+    std::vector<FetchDedup> fetchDedup_;
+    /** lane -> 1 if its vault failed at this dispatch (recovery). */
+    std::vector<char> laneDead_;
     std::size_t scratchPeak_ = 0;       ///< Max batch size this window.
     std::uint32_t scratchDispatches_ = 0;
     static constexpr std::uint32_t scratch_window = 32;
@@ -1044,6 +1091,13 @@ class Scu
     std::deque<mem::Cycles> inFlight_;
     /** Dispatched-but-uncollected results (survive the drain). */
     std::unordered_map<std::uint64_t, BatchResult> pendingResults_;
+    /**
+     * The map node of the last collected ticket, reinserted by the
+     * next issueTicket: dispatch-then-collect reuses one node instead
+     * of allocating one per dispatch.
+     */
+    std::unordered_map<std::uint64_t, BatchResult>::node_type
+        spareTicket_;
     std::uint64_t nextTicket_ = 0;
 };
 

@@ -14,11 +14,10 @@ SetStore::denseBytes() const
     return support::ceilDiv(universe_, 8);
 }
 
-std::uint64_t
-SetStore::payloadBytes(SetId id) const
+void
+SetStore::assertLive(SetId id) const
 {
-    return isDense(id) ? denseBytes()
-                       : cardinality(id) * sizeof(Element);
+    sisa_assert(live(id), "metadata of a dead set ", id);
 }
 
 SetId
@@ -124,31 +123,6 @@ SetStore::convert(SetId id, SetRepr repr)
                             .toSortedArray();
     }
     refreshMetadata(id);
-}
-
-bool
-SetStore::live(SetId id) const
-{
-    return id < metadata_.size() && metadata_[id].live;
-}
-
-const SetMetadata &
-SetStore::metadata(SetId id) const
-{
-    sisa_assert(live(id), "metadata of a dead set ", id);
-    return metadata_[id];
-}
-
-bool
-SetStore::isDense(SetId id) const
-{
-    return metadata(id).repr == SetRepr::DenseBitvector;
-}
-
-std::uint64_t
-SetStore::cardinality(SetId id) const
-{
-    return metadata(id).cardinality;
 }
 
 const SortedArraySet &

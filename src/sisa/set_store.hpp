@@ -61,7 +61,12 @@ class SetStore
      * denseBytes() for a DB. The single source of truth for operand
      * footprints in the cross-vault cost model.
      */
-    std::uint64_t payloadBytes(SetId id) const;
+    std::uint64_t
+    payloadBytes(SetId id) const
+    {
+        return isDense(id) ? denseBytes()
+                           : cardinality(id) * sizeof(Element);
+    }
 
     /** Create a set from sorted unique elements in @p repr. */
     SetId createFromSorted(std::vector<Element> elems, SetRepr repr);
@@ -81,11 +86,34 @@ class SetStore
     /** Convert @p id to @p repr in place (no-op if already there). */
     void convert(SetId id, SetRepr repr);
 
-    bool live(SetId id) const;
-    const SetMetadata &metadata(SetId id) const;
+    // The SCU reads these several times per batched op; they are
+    // inline so the reads cost a bounds test and a load.
 
-    bool isDense(SetId id) const;
-    std::uint64_t cardinality(SetId id) const;
+    bool
+    live(SetId id) const
+    {
+        return id < metadata_.size() && metadata_[id].live;
+    }
+
+    const SetMetadata &
+    metadata(SetId id) const
+    {
+        if (!live(id)) [[unlikely]]
+            assertLive(id);
+        return metadata_[id];
+    }
+
+    bool
+    isDense(SetId id) const
+    {
+        return metadata(id).repr == SetRepr::DenseBitvector;
+    }
+
+    std::uint64_t
+    cardinality(SetId id) const
+    {
+        return metadata(id).cardinality;
+    }
 
     /** Access as SA; the set must be in SA representation. */
     const SortedArraySet &sa(SetId id) const;
@@ -149,6 +177,12 @@ class SetStore
 
   private:
     using Payload = std::variant<SortedArraySet, DenseBitset>;
+
+    /**
+     * metadata()'s dead-set sisa_assert, out of line and cold so the
+     * inline read stays a bounds test and a load.
+     */
+    [[gnu::cold, gnu::noinline]] void assertLive(SetId id) const;
 
     SetId allocateSlot();
     void refreshMetadata(SetId id);

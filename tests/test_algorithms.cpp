@@ -5,6 +5,8 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "algorithms/bfs.hpp"
 #include "algorithms/bron_kerbosch.hpp"
@@ -458,6 +460,76 @@ TEST_P(AlgoTest, PatternCutoffBoundsWork)
     for (sim::ThreadId t = 0; t < threads(); ++t)
         EXPECT_LE(ctx.patterns(t), 10u + 30u); // One batch overshoot.
     EXPECT_LT(ctx.totalPatterns(), 3u * 10u * threads() + 100u);
+}
+
+
+// --- Pattern-cutoff golden ---------------------------------------------------
+//
+// The count-only mining loops report patterns in bulk
+// (SimContext::countPatterns), which must stop exactly where a loop
+// of countPattern calls stopping at the first false did. These pins
+// were recorded with the per-pattern loops: per-thread patterns(),
+// the value and the modeled makespan of each count-only loop under
+// three cutoffs on one RMAT graph. A cutoff that lands a pattern
+// early or late moves patterns() and, through the next batch it
+// gates, the makespan.
+
+/** "value=V makespan=M patterns=p0,p1,..." of one cutoff run. */
+std::string
+cutoffDump(const std::string &problem, std::uint64_t cutoff)
+{
+    graph::RmatParams params;
+    params.scale = 8;
+    params.edgeFactor = 8;
+    const graph::Graph g = graph::rmat(params, 42);
+    constexpr std::uint32_t threads = 4;
+    core::SisaEngine eng(g.numVertices(), isa::ScuConfig{}, threads);
+    sim::SimContext ctx(threads);
+    ctx.setPatternCutoff(cutoff);
+    OrientedSetGraph osg(g, eng);
+    std::uint64_t value = 0;
+    if (problem == "tc")
+        value = triangleCount(osg, ctx);
+    else if (problem == "kc4")
+        value = kCliqueCount(osg, ctx, 4);
+    else
+        value = fourCliqueCount(osg, ctx);
+    std::ostringstream out;
+    out << "value=" << value << " makespan=" << ctx.makespan()
+        << " patterns=";
+    for (sim::ThreadId t = 0; t < threads; ++t)
+        out << (t ? "," : "") << ctx.patterns(t);
+    return out.str();
+}
+
+TEST(CutoffGolden, TriangleCount)
+{
+    EXPECT_EQ(cutoffDump("tc", 1),
+              "value=4 makespan=1934 patterns=1,1,1,1");
+    EXPECT_EQ(cutoffDump("tc", 40),
+              "value=176 makespan=2449 patterns=40,40,40,40");
+    EXPECT_EQ(cutoffDump("tc", 1000),
+              "value=3206 makespan=29678 patterns=1000,924,1000,276");
+}
+
+TEST(CutoffGolden, KCliqueCount)
+{
+    EXPECT_EQ(cutoffDump("kc4", 1),
+              "value=4 makespan=4102 patterns=1,1,1,1");
+    EXPECT_EQ(cutoffDump("kc4", 40),
+              "value=162 makespan=7411 patterns=40,40,40,40");
+    EXPECT_EQ(cutoffDump("kc4", 1000),
+              "value=3374 makespan=74133 patterns=1000,1000,1000,371");
+}
+
+TEST(CutoffGolden, FourCliqueCount)
+{
+    EXPECT_EQ(cutoffDump("4c", 1),
+              "value=4 makespan=1052 patterns=1,1,1,1");
+    EXPECT_EQ(cutoffDump("4c", 40),
+              "value=162 makespan=5112 patterns=40,40,40,40");
+    EXPECT_EQ(cutoffDump("4c", 1000),
+              "value=3374 makespan=83680 patterns=1000,1000,1000,371");
 }
 
 } // namespace

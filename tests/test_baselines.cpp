@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "baselines/bk_baseline.hpp"
 #include "baselines/clustering_baseline.hpp"
 #include "baselines/csr_view.hpp"
@@ -242,6 +245,51 @@ TEST(Paradigms, ExpansionSlowerThanTunedBaseline)
     Harness expansion(g);
     expansionKCliqueCount(expansion.view, expansion.ctx, 4);
     EXPECT_GT(expansion.ctx.makespan(), 2 * tuned.ctx.makespan());
+}
+
+// Pattern-cutoff golden of the count-only baseline loops (see
+// CutoffGolden in test_algorithms.cpp): per-thread patterns(), value
+// and modeled makespan under three cutoffs, recorded with the
+// per-pattern countPattern loops.
+std::string
+baselineCutoffDump(const std::string &problem, std::uint64_t cutoff)
+{
+    graph::RmatParams params;
+    params.scale = 8;
+    params.edgeFactor = 8;
+    const graph::Graph d = oriented(graph::rmat(params, 42));
+    constexpr std::uint32_t threads = 4;
+    Harness h(d, threads);
+    h.ctx.setPatternCutoff(cutoff);
+    const std::uint64_t value =
+        problem == "tc" ? triangleCountBaseline(h.view, h.ctx)
+                        : kCliqueCountBaseline(h.view, h.ctx, 4);
+    std::ostringstream out;
+    out << "value=" << value << " makespan=" << h.ctx.makespan()
+        << " patterns=";
+    for (sim::ThreadId t = 0; t < threads; ++t)
+        out << (t ? "," : "") << h.ctx.patterns(t);
+    return out.str();
+}
+
+TEST(BaselineCutoffGolden, TriangleCount)
+{
+    EXPECT_EQ(baselineCutoffDump("tc", 1),
+              "value=4 makespan=311 patterns=1,1,1,1");
+    EXPECT_EQ(baselineCutoffDump("tc", 40),
+              "value=176 makespan=1819 patterns=40,40,40,40");
+    EXPECT_EQ(baselineCutoffDump("tc", 1000),
+              "value=3206 makespan=34200 patterns=1000,924,1000,276");
+}
+
+TEST(BaselineCutoffGolden, KCliqueCount)
+{
+    EXPECT_EQ(baselineCutoffDump("kc4", 1),
+              "value=4 makespan=672 patterns=1,1,1,1");
+    EXPECT_EQ(baselineCutoffDump("kc4", 40),
+              "value=162 makespan=5220 patterns=40,40,40,40");
+    EXPECT_EQ(baselineCutoffDump("kc4", 1000),
+              "value=3374 makespan=77789 patterns=1000,1000,1000,371");
 }
 
 } // namespace

@@ -18,6 +18,8 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <random>
+#include <set>
 #include <string_view>
 #include <tuple>
 #include <vector>
@@ -557,6 +559,99 @@ TEST(RemoteDedup, ChargesOncePerVaultOperandPairUnderInterleaving)
     EXPECT_EQ(ctx.counter("scu.xvault_transfers"), 2u);
     EXPECT_EQ(ctx.counter("setops.xvault_bytes"),
               100u * 4 + 150u * 4);
+}
+
+TEST(RemoteDedup, MatchesDistinctLaneOperandPairOracle)
+{
+    // Random batches in which many ops of one lane share remote
+    // co-operands, under every charge path that dedups fetches
+    // (1-worker and pooled barrier, the async window) and both a
+    // narrow and the default vault count. The oracle shares no code
+    // with the SCU's charge path: under Primary routing an op runs
+    // in a's vault (its lane), b is remote iff it lives elsewhere,
+    // and each distinct (lane, b) pair of a dispatch is one transfer
+    // of b's 4 B/element payload.
+    constexpr Element universe = 4096;
+    for (const std::uint32_t vaults : {2u, 512u}) {
+        for (const std::uint32_t workers : {1u, 4u}) {
+            for (const bool windowed : {false, true}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "vaults=" << vaults
+                             << " workers=" << workers
+                             << " windowed=" << windowed);
+                ScuConfig config;
+                config.pim.vaults = vaults;
+                config.batchWorkers = workers;
+                config.asyncDepth = windowed ? 4 : 0;
+                SetStore store(universe);
+                Scu scu(store, config, 1);
+                auto placement =
+                    std::make_shared<LocalityPlacement>(vaults);
+                std::mt19937_64 rng(vaults * 10 + workers +
+                                    (windowed ? 100 : 0));
+                std::vector<std::uint32_t> vault_of;
+                const auto make_set = [&](std::uint32_t vault) {
+                    std::vector<Element> elems;
+                    const std::size_t size = 1 + rng() % 60;
+                    for (std::size_t e = 0; e < size; ++e)
+                        elems.push_back(
+                            static_cast<Element>(rng() % universe));
+                    std::sort(elems.begin(), elems.end());
+                    elems.erase(std::unique(elems.begin(), elems.end()),
+                                elems.end());
+                    const SetId id = store.createFromSorted(
+                        elems, SetRepr::SparseArray);
+                    placement->assign(id, vault);
+                    if (vault_of.size() <= id)
+                        vault_of.resize(id + 1);
+                    vault_of[id] = vault;
+                    return id;
+                };
+                // Few home vaults for the a side (deep lanes), a
+                // small b pool spread over every vault (repeats).
+                const std::array<std::uint32_t, 3> homes = {
+                    0, 1, vaults - 1};
+                std::vector<SetId> as, bs;
+                for (int k = 0; k < 6; ++k)
+                    as.push_back(make_set(homes[rng() % homes.size()]));
+                for (int k = 0; k < 12; ++k)
+                    bs.push_back(make_set(
+                        static_cast<std::uint32_t>(rng() % vaults)));
+                scu.setPlacement(placement);
+
+                SimContext ctx(1);
+                std::uint64_t want_transfers = 0;
+                std::uint64_t want_bytes = 0;
+                for (int d = 0; d < 6; ++d) {
+                    BatchRequest req;
+                    std::set<std::pair<std::uint32_t, SetId>> fetched;
+                    for (int i = 0; i < 40; ++i) {
+                        const SetId a = as[rng() % as.size()];
+                        const SetId b = bs[rng() % bs.size()];
+                        if (rng() % 2)
+                            req.intersectCard(a, b);
+                        else
+                            req.intersect(a, b);
+                        if (vault_of[a] != vault_of[b] &&
+                            fetched.emplace(vault_of[a], b).second) {
+                            ++want_transfers;
+                            want_bytes += 4 * store.cardinality(b);
+                        }
+                    }
+                    if (windowed) {
+                        scu.collectBatch(ctx, 0,
+                                         scu.dispatchAsync(ctx, 0, req));
+                    } else {
+                        scu.dispatchBatch(ctx, 0, req);
+                    }
+                }
+                scu.drainWindow();
+                EXPECT_EQ(ctx.counter("scu.xvault_transfers"),
+                          want_transfers);
+                EXPECT_EQ(ctx.counter("setops.xvault_bytes"), want_bytes);
+            }
+        }
+    }
 }
 
 // --- Scratch shrink-to-high-watermark ---------------------------------------

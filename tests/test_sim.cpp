@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <random>
 #include <string>
 
 #include "sim/context.hpp"
@@ -92,6 +94,69 @@ TEST(Context, CutoffIsPerThread)
     EXPECT_TRUE(ctx.cutoffReached(0));
     EXPECT_FALSE(ctx.cutoffReached(1));
     EXPECT_EQ(ctx.totalPatterns(), 1u);
+}
+
+TEST(Context, CountPatternsMatchesRepeatedCountPattern)
+{
+    // Seeded differential: countPatterns(tid, n) must leave the same
+    // per-thread counts and report the same "within cutoff" as n
+    // countPattern calls stopping at the first false. Covers no
+    // cutoff, cutoff 1, small and huge cutoffs, start counts below,
+    // at and above the cutoff (a caller that ignores false can
+    // overshoot), n = 0, and n large enough to overflow p + n.
+    const auto reference = [](SimContext &ctx, ThreadId tid,
+                              std::uint64_t n) {
+        for (std::uint64_t t = 0; t < n; ++t) {
+            if (!ctx.countPattern(tid))
+                break;
+        }
+        return !ctx.cutoffReached(tid);
+    };
+    std::mt19937_64 rng(2024);
+    const std::uint64_t huge = std::uint64_t{1} << 62;
+    for (int trial = 0; trial < 400; ++trial) {
+        std::uint64_t cutoff = 0;
+        switch (trial % 4) {
+          case 0: cutoff = 0; break;
+          case 1: cutoff = 1; break;
+          case 2: cutoff = 2 + rng() % 50; break;
+          default: cutoff = huge; break;
+        }
+        // A bounded cutoff stops the reference loop early, so n may
+        // be anything; otherwise it runs n iterations.
+        const bool bounded = cutoff != 0 && cutoff != huge;
+        SimContext bulk(2);
+        SimContext loop(2);
+        bulk.setPatternCutoff(cutoff);
+        loop.setPatternCutoff(cutoff);
+        // Start below, at or above the cutoff: countPattern with the
+        // result ignored walks past it.
+        const std::uint64_t start =
+            bounded ? rng() % (2 * cutoff + 2) : rng() % 100;
+        for (std::uint64_t t = 0; t < start; ++t) {
+            bulk.countPattern(0);
+            loop.countPattern(0);
+        }
+        for (int step = 0; step < 8; ++step) {
+            const auto tid = static_cast<ThreadId>(rng() % 2);
+            std::uint64_t n = 0;
+            switch (rng() % 4) {
+              case 0: n = 0; break;
+              case 1: n = 1; break;
+              case 2: n = rng() % 64; break;
+              default: n = bounded ? ~std::uint64_t{0} - rng() % 3
+                                   : rng() % 5000;
+                  break;
+            }
+            SCOPED_TRACE(::testing::Message()
+                         << "cutoff=" << cutoff << " start=" << start
+                         << " step=" << step << " n=" << n);
+            EXPECT_EQ(bulk.countPatterns(tid, n),
+                      reference(loop, tid, n));
+            EXPECT_EQ(bulk.patterns(0), loop.patterns(0));
+            EXPECT_EQ(bulk.patterns(1), loop.patterns(1));
+        }
+    }
 }
 
 TEST(Context, SetSizeTrace)

@@ -68,6 +68,9 @@ REQUIRED_ROWS = (
     # Fixed per-dispatch host cost on the bk-dense dispatch shape
     # (4 intersect-card ops on 64-element sets, one host worker).
     "batched_dispatch_4x64",
+    # Per-op host cost on triangle counting's mean batch (86
+    # intersect-card ops on 1k-element sets, one host worker).
+    "batched_dispatch_86x1k",
 )
 
 
