@@ -42,7 +42,8 @@ main()
         for (auto &[name, g] : graphs) {
             RunConfig config;
             config.threads = 8;
-            config.cutoff = defaultCutoff(problem) / 2;
+            config.cutoff =
+                serve::findProblem(problem)->defaultCutoff / 2;
 
             const auto base =
                 runProblem(problem, g, Mode::NonSet, config);

@@ -20,22 +20,11 @@
 #include <memory>
 #include <string>
 
-#include "algorithms/bron_kerbosch.hpp"
-#include "algorithms/clustering.hpp"
-#include "algorithms/kclique.hpp"
-#include "algorithms/kclique_star.hpp"
-#include "algorithms/subgraph_iso.hpp"
-#include "algorithms/triangle_count.hpp"
-#include "baselines/bk_baseline.hpp"
-#include "baselines/clustering_baseline.hpp"
 #include "baselines/csr_view.hpp"
-#include "baselines/kclique_baseline.hpp"
-#include "baselines/tc_baseline.hpp"
-#include "baselines/vf2_baseline.hpp"
 #include "core/cpu_set_engine.hpp"
 #include "core/sisa_engine.hpp"
 #include "graph/degeneracy.hpp"
-#include "graph/generators.hpp"
+#include "serve/problems.hpp"
 #include "support/logging.hpp"
 
 namespace sisa::bench {
@@ -62,9 +51,8 @@ struct RunConfig
     std::uint32_t threads = 32;
     std::uint64_t cutoff = 100; ///< Patterns per thread (0 = full).
     sets::ReprPolicy policy{};
-    isa::ScuConfig scu{};
+    isa::ScuConfig scu{}; ///< Sisa mode's SCU (routing included).
     sim::CpuParams cpu{};
-    std::uint32_t labels = 0; ///< >0: attach random vertex labels.
     bool traceSetSizes = false;
     /**
      * Vault placement for Sisa mode: "hash" (default), "range", or
@@ -73,15 +61,6 @@ struct RunConfig
      * only; results are policy-invariant.
      */
     std::string placement{};
-    /**
-     * Execution-vault routing for Sisa mode: "primary" (default, the
-     * a-operand's vault), "min-bytes" (run where the bigger operand
-     * lives and move only the smaller co-operand), or "balanced"
-     * (makespan-driven LPT batch scheduling against per-vault load,
-     * transfer-aware). Cycle charges and xvault counters only;
-     * results are invariant.
-     */
-    std::string routing{};
     /**
      * Dynamic re-placement for Sisa mode: wrap the chosen placement
      * in a DynamicPlacement that migrates sets observed being
@@ -98,21 +77,6 @@ struct RunConfig
     isa::InstructionTrace *trace = nullptr;
 };
 
-/** Build the named placement policy over @p sg's traffic arcs. */
-inline std::shared_ptr<isa::PlacementPolicy>
-makePlacement(const std::string &name, std::uint32_t vaults,
-              const core::SetGraph &sg)
-{
-    if (name == "range")
-        return std::make_shared<isa::RangePlacement>(vaults);
-    if (name == "locality")
-        return isa::greedyLocalityPlacement(vaults,
-                                            core::placementArcs(sg));
-    sisa_assert(name.empty() || name == "hash",
-                "unknown placement policy (hash | range | locality)");
-    return std::make_shared<isa::HashPlacement>(vaults);
-}
-
 /** Outcome of one run. */
 struct RunOutcome
 {
@@ -123,13 +87,15 @@ struct RunOutcome
 };
 
 /**
- * Run @p problem on @p graph under @p mode. Problems: tc, kcc-3..6,
- * ksc-3..6, mc, si-4s, si-4s-L, cl-jac, cl-ovr, cl-tot.
+ * Run the registered @p problem (serve/problems.hpp) on @p graph
+ * under @p mode.
  */
 inline RunOutcome
 runProblem(const std::string &problem, const Graph &graph, Mode mode,
            const RunConfig &config)
 {
+    const serve::Problem *entry = serve::findProblem(problem);
+    sisa_assert(entry, "runProblem: unknown problem");
     RunOutcome outcome;
     outcome.ctx =
         std::make_unique<sim::SimContext>(config.threads);
@@ -139,176 +105,44 @@ runProblem(const std::string &problem, const Graph &graph, Mode mode,
         ctx.enableSetSizeTrace(5);
 
     Graph labeled;
-    const Graph *g = &graph;
-    if (config.labels > 0) {
-        labeled = graph;
-        labeled.setVertexLabels(graph::randomVertexLabels(
-            graph.numVertices(), config.labels, 7));
-        g = &labeled;
-    }
-
-    const bool needs_orientation =
-        problem == "tc" || problem.rfind("kcc-", 0) == 0 ||
-        problem.rfind("ksc-", 0) == 0;
+    const Graph &g = entry->input(graph, labeled);
 
     if (mode == Mode::NonSet) {
+        sisa_assert(entry->nonSet,
+                    "runProblem: problem has no non-set baseline");
         sim::CpuModel cpu(config.cpu, config.threads);
-        if (needs_orientation) {
-            const auto deg = graph::exactDegeneracyOrder(*g);
-            const Graph oriented = g->orientByRank(deg.rank);
-            baselines::CsrView view(oriented, cpu);
-            if (problem == "tc") {
-                outcome.value =
-                    baselines::triangleCountBaseline(view, ctx);
-            } else if (problem.rfind("kcc-", 0) == 0) {
-                outcome.value = baselines::kCliqueCountBaseline(
-                    view, ctx,
-                    static_cast<std::uint32_t>(
-                        std::stoul(problem.substr(4))));
-            } else {
-                baselines::CsrView undirected(*g, cpu);
-                outcome.value = baselines::kCliqueStarBaseline(
-                    view, undirected, ctx,
-                    static_cast<std::uint32_t>(
-                        std::stoul(problem.substr(4))));
-            }
-        } else {
-            baselines::CsrView view(*g, cpu);
-            if (problem == "mc") {
-                outcome.value =
-                    baselines::maximalCliquesBaseline(view, ctx)
-                        .cliqueCount;
-            } else if (problem == "si-4s" || problem == "si-4s-L") {
-                const Graph pattern =
-                    problem == "si-4s-L"
-                        ? algorithms::labeledStarPattern(3, 3)
-                        : algorithms::starPattern(3);
-                outcome.value =
-                    baselines::subgraphIsoBaseline(view, ctx, pattern);
-            } else if (problem.rfind("cl-", 0) == 0) {
-                const auto coeff =
-                    problem == "cl-jac"
-                        ? baselines::ClusterCoefficient::Jaccard
-                        : (problem == "cl-ovr"
-                               ? baselines::ClusterCoefficient::Overlap
-                               : baselines::ClusterCoefficient::
-                                     TotalNeighbors);
-                outcome.value = baselines::jarvisPatrickBaseline(
-                    view, ctx, coeff, problem == "cl-tot" ? 2.0 : 0.05);
-            }
-        }
+        const bool orient = entry->state == serve::GraphState::Oriented;
+        const Graph oriented =
+            orient ? g.orientByRank(graph::exactDegeneracyOrder(g).rank)
+                   : Graph{};
+        baselines::CsrView view(orient ? oriented : g, cpu);
+        outcome.value = entry->nonSet(g, view, ctx);
     } else {
         std::unique_ptr<core::SetEngine> engine;
         core::SisaEngine *sisa_engine = nullptr;
         if (mode == Mode::Sisa) {
-            isa::ScuConfig scu_cfg = config.scu;
-            if (config.routing == "min-bytes") {
-                scu_cfg.routing = isa::Routing::MinBytes;
-            } else if (config.routing == "balanced") {
-                scu_cfg.routing = isa::Routing::Balanced;
-            } else {
-                sisa_assert(config.routing.empty() ||
-                                config.routing == "primary",
-                            "unknown routing rule "
-                            "(primary | min-bytes | balanced)");
-            }
             auto sisa = std::make_unique<core::SisaEngine>(
-                g->numVertices(), scu_cfg, config.threads);
+                g.numVertices(), config.scu, config.threads);
             sisa_engine = sisa.get();
             if (config.trace)
                 sisa_engine->scu().setTrace(config.trace);
             engine = std::move(sisa);
         } else {
             engine = std::make_unique<core::CpuSetEngine>(
-                g->numVertices(), config.cpu, config.threads);
+                g.numVertices(), config.cpu, config.threads);
         }
-        // Placement can only be seeded once the neighborhood sets
-        // exist, so it installs right after SetGraph construction.
-        const auto installPlacement = [&](const core::SetGraph &sg) {
-            if (sisa_engine &&
-                (!config.placement.empty() || config.replace)) {
-                auto policy =
-                    makePlacement(config.placement,
-                                  config.scu.pim.vaults, sg);
-                if (config.replace) {
-                    policy = std::make_shared<isa::DynamicPlacement>(
-                        std::move(policy));
-                }
-                sisa_engine->scu().setPlacement(std::move(policy));
-            }
-        };
-        if (needs_orientation) {
-            algorithms::OrientedSetGraph osg(*g, *engine,
-                                             config.policy);
-            installPlacement(*osg.sets);
-            if (problem == "tc") {
-                outcome.value = algorithms::triangleCount(osg, ctx);
-            } else if (problem.rfind("kcc-", 0) == 0) {
-                outcome.value = algorithms::kCliqueCount(
-                    osg, ctx,
-                    static_cast<std::uint32_t>(
-                        std::stoul(problem.substr(4))));
-            } else {
-                outcome.value =
-                    algorithms::kCliqueStarsJabbour(
-                        osg, ctx,
-                        static_cast<std::uint32_t>(
-                            std::stoul(problem.substr(4))))
-                        .starCount;
-            }
-        } else {
-            core::SetGraph sg(*g, *engine, config.policy);
-            installPlacement(sg);
-            if (problem == "mc") {
-                outcome.value =
-                    algorithms::maximalCliques(sg, ctx).cliqueCount;
-            } else if (problem == "si-4s" || problem == "si-4s-L") {
-                const Graph pattern =
-                    problem == "si-4s-L"
-                        ? algorithms::labeledStarPattern(3, 3)
-                        : algorithms::starPattern(3);
-                outcome.value =
-                    algorithms::subgraphIsomorphism(sg, ctx, pattern)
-                        .matches;
-            } else if (problem.rfind("cl-", 0) == 0) {
-                const auto measure =
-                    problem == "cl-jac"
-                        ? algorithms::SimilarityMeasure::Jaccard
-                        : (problem == "cl-ovr"
-                               ? algorithms::SimilarityMeasure::Overlap
-                               : algorithms::SimilarityMeasure::
-                                     TotalNeighbors);
-                outcome.value =
-                    algorithms::jarvisPatrick(
-                        sg, ctx, measure,
-                        problem == "cl-tot" ? 2.0 : 0.05)
-                        .clusterEdges;
-            }
-        }
+        serve::ProblemSets sets =
+            entry->buildSets(g, *engine, config.policy);
+        // Placement seeds from the neighborhood sets just built.
+        if (sisa_engine)
+            serve::installPlacement(*sisa_engine, config.placement,
+                                    config.replace, sets);
+        outcome.value = entry->run(sets, ctx);
     }
 
     outcome.cycles = ctx.makespan();
     outcome.patterns = ctx.totalPatterns();
     return outcome;
-}
-
-/** Per-problem default pattern cutoffs keeping simulations tractable. */
-inline std::uint64_t
-defaultCutoff(const std::string &problem)
-{
-    if (problem == "tc")
-        return 2000;
-    if (problem.rfind("kcc-", 0) == 0)
-        return 300;
-    if (problem.rfind("ksc-", 0) == 0)
-        return 60;
-    if (problem == "mc")
-        return 60;
-    if (problem.rfind("si-", 0) == 0)
-        return 150;
-    if (problem.rfind("cl-", 0) == 0)
-        return 1500;
-    return 200;
 }
 
 } // namespace sisa::bench

@@ -423,13 +423,14 @@ runKernelSweep(const std::string &json_path)
             std::uint64_t moved_bytes; ///< xvault + migration bytes.
             std::uint64_t cycles;
         };
-        const auto run = [&](const char *placement,
-                             const char *routing, bool replace) {
+        using isa::Routing;
+        const auto run = [&](const char *placement, Routing routing,
+                             bool replace) {
             bench::RunConfig rc;
             rc.threads = 4;
             rc.cutoff = 0;
             rc.placement = placement;
-            rc.routing = routing;
+            rc.scu.routing = routing;
             rc.replace = replace;
             bench::RunOutcome out =
                 bench::runProblem("tc", g, bench::Mode::Sisa, rc);
@@ -439,8 +440,9 @@ runKernelSweep(const std::string &json_path)
                 out.cycles};
         };
         // hash vs locality placement (primary routing): the PR 3 row.
-        const PlacementRun hash = run("hash", "primary", false);
-        const PlacementRun locality = run("locality", "primary", false);
+        const PlacementRun hash = run("hash", Routing::Primary, false);
+        const PlacementRun locality =
+            run("locality", Routing::Primary, false);
         add("placement_tc_rmat9_xvault_bytes", g.numVertices(),
             static_cast<double>(hash.moved_bytes),
             static_cast<double>(locality.moved_bytes), "bytes");
@@ -449,7 +451,7 @@ runKernelSweep(const std::string &json_path)
             static_cast<double>(locality.cycles), "cycles");
         // primary vs min-bytes routing, both on locality placement.
         const PlacementRun minbytes =
-            run("locality", "min-bytes", false);
+            run("locality", Routing::MinBytes, false);
         add("routing_tc_rmat9_xvault_bytes", g.numVertices(),
             static_cast<double>(locality.moved_bytes),
             static_cast<double>(minbytes.moved_bytes), "bytes");
@@ -460,7 +462,7 @@ runKernelSweep(const std::string &json_path)
         // re-placement, migration traffic included) vs the PR 3
         // locality baseline.
         const PlacementRun dynamic =
-            run("locality", "min-bytes", true);
+            run("locality", Routing::MinBytes, true);
         add("replace_tc_rmat9_xvault_bytes", g.numVertices(),
             static_cast<double>(locality.moved_bytes),
             static_cast<double>(dynamic.moved_bytes), "bytes");
@@ -473,7 +475,7 @@ runKernelSweep(const std::string &json_path)
         // min-bytes' byte cut while keeping cycles at primary level
         // (erasing the PR 4 trade-off).
         const PlacementRun balanced =
-            run("locality", "balanced", false);
+            run("locality", Routing::Balanced, false);
         add("sched_tc_rmat9_xvault_bytes", g.numVertices(),
             static_cast<double>(locality.moved_bytes),
             static_cast<double>(balanced.moved_bytes), "bytes");
@@ -483,7 +485,7 @@ runKernelSweep(const std::string &json_path)
         // ... and composed with dynamic re-placement (migration
         // traffic included), the full tuned stack.
         const PlacementRun balanced_dynamic =
-            run("locality", "balanced", true);
+            run("locality", Routing::Balanced, true);
         add("sched_replace_tc_rmat9_xvault_bytes", g.numVertices(),
             static_cast<double>(locality.moved_bytes),
             static_cast<double>(balanced_dynamic.moved_bytes),
@@ -504,7 +506,6 @@ runKernelSweep(const std::string &json_path)
             rc.threads = 4;
             rc.cutoff = 0;
             rc.placement = "locality";
-            rc.routing = "primary";
             rc.scu.faults.enabled = true;
             rc.scu.faults.seed = 7;
             rc.scu.faults.corruptRate = 0.001;
@@ -539,7 +540,7 @@ runKernelSweep(const std::string &json_path)
             rc.threads = 4;
             rc.cutoff = 0;
             rc.placement = "locality";
-            rc.routing = "balanced";
+            rc.scu.routing = Routing::Balanced;
             rc.scu.asyncDepth = depth;
             bench::RunOutcome out =
                 bench::runProblem(problem, g, bench::Mode::Sisa, rc);

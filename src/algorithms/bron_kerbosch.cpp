@@ -145,15 +145,4 @@ maximalCliques(SetGraph &sg, sim::SimContext &ctx,
     return result;
 }
 
-MaximalCliqueResult
-maximalCliques(SetGraph &sg, QuerySession &session,
-               const std::function<void(const std::vector<VertexId> &)>
-                   &on_clique)
-{
-    sisa_assert(&sg.engine() == &session.engine(),
-                "maximalCliques: session is bound to a different "
-                "engine than the graph's");
-    return maximalCliques(sg, session.ctx(), on_clique);
-}
-
 } // namespace sisa::algorithms

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "core/query_session.hpp"
 #include "core/set_engine.hpp"
 #include "core/set_graph.hpp"
 #include "graph/degeneracy.hpp"
@@ -21,7 +20,6 @@
 
 namespace sisa::algorithms {
 
-using core::QuerySession;
 using core::SetEngine;
 using core::SetGraph;
 using graph::Graph;

@@ -20,7 +20,10 @@
  *      serialize it externally when the engines share a worker pool.
  *   3. attach(engine): dispatches now gate through the scheduler and
  *      the served timeline starts (setup cycles stay outside it).
- *   4. Run the query's algorithm against session.ctx().
+ *   4. Run the query's algorithm (its SimContext form) against
+ *      session.ctx(): charges land in the query's account, the
+ *      engine's dispatches gate through the scheduler, and results
+ *      are bit-identical to a solo run.
  *   5. finish(): drains in-flight async batches, detaches, and
  *      retires the query -- its completion time freezes in the
  *      scheduler's ServingModel.

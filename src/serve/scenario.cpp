@@ -7,14 +7,9 @@
 #include <thread>
 #include <utility>
 
-#include "algorithms/bron_kerbosch.hpp"
-#include "algorithms/clustering.hpp"
-#include "algorithms/kclique.hpp"
-#include "algorithms/link_prediction.hpp"
-#include "algorithms/triangle_count.hpp"
 #include "core/query_session.hpp"
 #include "core/sisa_engine.hpp"
-#include "sisa/placement.hpp"
+#include "serve/problems.hpp"
 #include "support/logging.hpp"
 #include "support/rng.hpp"
 
@@ -22,114 +17,19 @@ namespace sisa::serve {
 
 namespace {
 
-bool
-needsOrientation(const std::string &problem)
-{
-    return problem == "tc" || problem.rfind("kcc-", 0) == 0;
-}
-
-std::uint32_t
-cliqueK(const std::string &problem)
-{
-    // validServeProblem vetted the suffix: a single digit 3..6.
-    return static_cast<std::uint32_t>(problem[4] - '0');
-}
-
-algorithms::SimilarityMeasure
-clusteringMeasure(const std::string &problem)
-{
-    if (problem == "cl-jac")
-        return algorithms::SimilarityMeasure::Jaccard;
-    if (problem == "cl-ovr")
-        return algorithms::SimilarityMeasure::Overlap;
-    return algorithms::SimilarityMeasure::TotalNeighbors;
-}
-
-/** Everything one tenant owns (engine, graph views, session). */
+/** Everything one tenant owns (engine, graph state, session). */
 struct Tenant
 {
+    const Problem *problem = nullptr;
     std::unique_ptr<core::SisaEngine> engine;
     std::unique_ptr<core::QuerySession> session;
-    std::unique_ptr<algorithms::OrientedSetGraph> osg;
-    std::unique_ptr<core::SetGraph> sg;
+    graph::Graph labeled; ///< The labelled input, if the problem asks.
+    ProblemSets sets;
     std::uint64_t value = 0;
     std::exception_ptr error;
 };
 
-/** The harness's placement menu, rebuilt here for serving runs. */
-void
-installPlacement(core::SisaEngine &engine, const std::string &name,
-                 std::uint32_t vaults, const core::SetGraph &sg)
-{
-    if (name.empty() || name == "hash")
-        return; // Hash is the SCU's default placement.
-    std::shared_ptr<isa::PlacementPolicy> policy;
-    if (name == "range") {
-        policy = std::make_shared<isa::RangePlacement>(vaults);
-    } else if (name == "locality") {
-        policy = isa::greedyLocalityPlacement(
-            vaults, core::placementArcs(sg));
-    } else {
-        sisa_assert(false,
-                    "unknown placement policy "
-                    "(hash | range | locality)");
-    }
-    engine.scu().setPlacement(std::move(policy));
-}
-
-std::uint64_t
-runQuery(Tenant &tenant, const QuerySpec &spec,
-         const graph::Graph &graph)
-{
-    core::QuerySession &session = *tenant.session;
-    if (spec.problem == "tc")
-        return algorithms::triangleCount(*tenant.osg, session);
-    if (spec.problem.rfind("kcc-", 0) == 0)
-        return algorithms::kCliqueCount(*tenant.osg, session,
-                                        cliqueK(spec.problem));
-    if (spec.problem == "mc")
-        return algorithms::maximalCliques(*tenant.sg, session)
-            .cliqueCount;
-    if (spec.problem.rfind("cl-", 0) == 0)
-        return algorithms::jarvisPatrick(
-                   *tenant.sg, session,
-                   clusteringMeasure(spec.problem),
-                   spec.problem == "cl-tot" ? 2.0 : 0.05)
-            .clusterEdges;
-    // lp: the query owns all its sets; only the graph is shared.
-    return algorithms::linkPredictionTest(
-               session, graph,
-               algorithms::SimilarityMeasure::CommonNeighbors, 0.1,
-               /*seed=*/7)
-        .correct;
-}
-
 } // namespace
-
-bool
-validServeProblem(const std::string &problem)
-{
-    if (problem == "tc" || problem == "mc" || problem == "lp" ||
-        problem == "cl-jac" || problem == "cl-ovr" ||
-        problem == "cl-tot")
-        return true;
-    return problem.size() == 5 && problem.rfind("kcc-", 0) == 0 &&
-           problem[4] >= '3' && problem[4] <= '6';
-}
-
-std::uint64_t
-serveDefaultCutoff(const std::string &problem)
-{
-    if (problem == "tc")
-        return 2000;
-    if (problem.rfind("kcc-", 0) == 0)
-        return 300;
-    if (problem == "mc")
-        return 60;
-    if (problem.rfind("cl-", 0) == 0)
-        return 1500;
-    return 0; // lp has no pattern cutoff.
-}
 
 std::vector<mem::Cycles>
 poissonArrivals(std::uint64_t seed, double mean, std::size_t n)
@@ -155,15 +55,15 @@ serveMixedWorkload(const graph::Graph &graph,
 {
     sisa_assert(!config.queries.empty(),
                 "serveMixedWorkload: no queries");
-    for (const QuerySpec &spec : config.queries) {
-        sisa_assert(validServeProblem(spec.problem),
-                    "serveMixedWorkload: unknown problem");
-    }
-
     isa::QueryScheduler sched(config.policy, config.quantum);
     sched.setOverload(config.shed, config.admitCapacity,
                       config.scu.pim.vaults);
     std::vector<Tenant> tenants(config.queries.size());
+    for (std::size_t i = 0; i < tenants.size(); ++i) {
+        tenants[i].problem = findProblem(config.queries[i].problem);
+        sisa_assert(tenants[i].problem,
+                    "serveMixedWorkload: unknown problem");
+    }
 
     // Phase 1 (serial, this thread): per-tenant engines, sessions,
     // and graph state. Setup dispatches are not admission-gated and
@@ -188,27 +88,22 @@ serveMixedWorkload(const graph::Graph &graph,
         t.session = std::make_unique<core::QuerySession>(
             spec.problem, sched, config.threads, admission);
         t.session->ctx().setPatternCutoff(
-            spec.cutoff != 0 ? spec.cutoff
-                             : serveDefaultCutoff(spec.problem));
-        if (needsOrientation(spec.problem)) {
-            t.osg = std::make_unique<algorithms::OrientedSetGraph>(
-                graph, *t.engine);
-            installPlacement(*t.engine, config.placement,
-                             config.scu.pim.vaults, *t.osg->sets);
-        } else if (spec.problem != "lp") {
-            t.sg = std::make_unique<core::SetGraph>(graph, *t.engine);
-            installPlacement(*t.engine, config.placement,
-                             config.scu.pim.vaults, *t.sg);
-        }
-        // lp builds its own sets during the query; placement stays
-        // at the default (no neighborhood arcs to seed from yet).
+            spec.cutoff != 0 ? spec.cutoff : t.problem->defaultCutoff);
+        t.sets = t.problem->buildSets(
+            t.problem->input(graph, t.labeled), *t.engine);
+        installPlacement(*t.engine, config.placement, /*dynamic=*/false,
+                         t.sets);
     }
 
     // Phase 2: attach everything, then run. Attach comes after ALL
     // setup so no gated dispatch can start while another tenant is
     // still doing ungated setup work on the shared pool.
-    for (Tenant &t : tenants)
+    for (Tenant &t : tenants) {
         t.session->attach(*t.engine);
+        sisa_assert(&t.session->engine() == t.sets.engine,
+                    "serveMixedWorkload: session is bound to a "
+                    "different engine than the query's sets");
+    }
 
     std::vector<std::thread> threads;
     threads.reserve(tenants.size());
@@ -216,7 +111,7 @@ serveMixedWorkload(const graph::Graph &graph,
         threads.emplace_back([&, i] {
             Tenant &t = tenants[i];
             try {
-                t.value = runQuery(t, config.queries[i], graph);
+                t.value = t.problem->run(t.sets, t.session->ctx());
             } catch (const isa::QueryCancelledError &) {
                 // A lifecycle verdict (TimedOut / Shed / Aborted),
                 // not an error: the report carries the state and the

@@ -35,15 +35,14 @@ namespace sisa::serve {
 /** One tenant's workload. */
 struct QuerySpec
 {
-    /**
-     * Problem id: tc | mc | kcc-3..6 | cl-jac | cl-ovr | cl-tot |
-     * lp (validServeProblem checks a string before it reaches the
-     * scenario).
-     */
+    /** Problem id: any registered problem (serve/problems.hpp). */
     std::string problem;
     /** Scheduler priority (SchedPolicy::Priority only). */
     std::uint32_t priority = 0;
-    /** Pattern cutoff; 0 picks the problem's serving default. */
+    /**
+     * Pattern cutoff; 0 picks Problem::defaultCutoff (unlike a solo
+     * harness run, where 0 means no cutoff).
+     */
     std::uint64_t cutoff = 0;
     /** Virtual arrival offset (cycles); queries park until then. */
     mem::Cycles arrival = 0;
@@ -101,12 +100,6 @@ struct ScenarioReport
     std::vector<isa::ServingModel::LifecycleEvent> lifecycleLog;
     mem::Cycles makespan = 0; ///< Max completion over all queries.
 };
-
-/** Is @p problem one the serving scenario can run? */
-bool validServeProblem(const std::string &problem);
-
-/** Serving default pattern cutoff for @p problem. */
-std::uint64_t serveDefaultCutoff(const std::string &problem);
 
 /**
  * Deterministic open-loop arrival generator: @p n arrival offsets

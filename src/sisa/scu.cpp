@@ -1,6 +1,7 @@
 #include "sisa/scu.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 #include <ranges>
 #include <thread>
@@ -14,6 +15,27 @@ namespace sisa::isa {
 
 using sets::OpWork;
 using sim::Counter;
+
+namespace {
+constexpr const char *kRoutingNames[] = {"primary", "min-bytes",
+                                         "balanced"};
+} // namespace
+
+const char *
+routingName(Routing routing)
+{
+    return kRoutingNames[static_cast<std::size_t>(routing)];
+}
+
+std::optional<Routing>
+parseRouting(std::string_view name)
+{
+    for (std::size_t i = 0; i < std::size(kRoutingNames); ++i) {
+        if (name == kRoutingNames[i])
+            return static_cast<Routing>(i);
+    }
+    return std::nullopt;
+}
 
 Scu::Scu(SetStore &store, const ScuConfig &config,
          std::uint32_t num_threads)

@@ -27,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -75,6 +76,11 @@ namespace sisa::isa {
  *              cycle regression while keeping most of its byte cut.
  */
 enum class Routing : std::uint8_t { Primary, MinBytes, Balanced };
+
+const char *routingName(Routing routing);
+
+/** Parse "primary" / "min-bytes" / "balanced" (nullopt otherwise). */
+std::optional<Routing> parseRouting(std::string_view name);
 
 /**
  * Static batch verification mode (sisa/analysis.hpp). Off skips the

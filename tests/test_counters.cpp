@@ -72,7 +72,7 @@ smokeConfig()
     rc.threads = 4;
     rc.cutoff = 2000;
     rc.placement = "locality";
-    rc.routing = "balanced";
+    rc.scu.routing = isa::Routing::Balanced;
     rc.replace = true;
     return rc;
 }

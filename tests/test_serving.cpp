@@ -18,11 +18,13 @@
 #include <thread>
 #include <vector>
 
+#include "../bench/harness.hpp"
 #include "algorithms/bron_kerbosch.hpp"
 #include "algorithms/kclique.hpp"
 #include "algorithms/triangle_count.hpp"
 #include "core/sisa_engine.hpp"
 #include "graph/generators.hpp"
+#include "serve/problems.hpp"
 #include "serve/scenario.hpp"
 #include "sim/context.hpp"
 #include "sisa/serving.hpp"
@@ -449,15 +451,44 @@ TEST(ServingScenario, MatchesPlainEngineRun)
     EXPECT_EQ(report.queries[0].account.counters, plain.counters);
 }
 
+TEST(ServingScenario, SoloMatchesHarnessForEveryProblem)
+{
+    // Serving and the harness call the same registry runner: a K=1
+    // scenario reproduces a 1-thread harness sisa run's value and
+    // busy/stall/counter totals bit-for-bit, for every problem.
+    const graph::Graph graph = testGraph();
+    for (const serve::Problem &problem : serve::problems()) {
+        const std::string name(problem.name);
+        SCOPED_TRACE(name);
+        bench::RunConfig rc;
+        rc.threads = 1;
+        rc.cutoff = problem.defaultCutoff;
+        const bench::RunOutcome solo =
+            bench::runProblem(name, graph, bench::Mode::Sisa, rc);
+
+        serve::ScenarioConfig config;
+        config.queries = {{.problem = name,
+                           .priority = 0,
+                           .cutoff = problem.defaultCutoff}};
+        const serve::QueryReport query =
+            serve::serveMixedWorkload(graph, config).queries[0];
+        EXPECT_EQ(query.state, isa::QueryState::Completed);
+        EXPECT_EQ(query.value, solo.value);
+        EXPECT_EQ(query.account.busy, solo.ctx->threadBusy(0));
+        EXPECT_EQ(query.account.stall, solo.ctx->threadStall(0));
+        EXPECT_EQ(query.account.counters.toMap(), solo.ctx->counters());
+    }
+}
+
 TEST(ServingScenario, RejectsUnknownProblem)
 {
-    EXPECT_FALSE(serve::validServeProblem("pagerank"));
-    EXPECT_FALSE(serve::validServeProblem("kcc-7"));
-    EXPECT_FALSE(serve::validServeProblem("kcc-"));
-    EXPECT_TRUE(serve::validServeProblem("kcc-3"));
-    EXPECT_TRUE(serve::validServeProblem("tc"));
-    EXPECT_TRUE(serve::validServeProblem("cl-ovr"));
-    EXPECT_TRUE(serve::validServeProblem("lp"));
+    EXPECT_EQ(serve::findProblem("pagerank"), nullptr);
+    EXPECT_EQ(serve::findProblem("kcc-7"), nullptr);
+    EXPECT_EQ(serve::findProblem("kcc-"), nullptr);
+    EXPECT_NE(serve::findProblem("kcc-3"), nullptr);
+    EXPECT_NE(serve::findProblem("tc"), nullptr);
+    EXPECT_NE(serve::findProblem("cl-ovr"), nullptr);
+    EXPECT_NE(serve::findProblem("lp"), nullptr);
 }
 
 // --- Lifecycle model pins --------------------------------------------------

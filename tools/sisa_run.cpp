@@ -8,8 +8,8 @@
  *            [placement] [routing] [replace] [faults=SPEC]
  *            [analyze=MODE] [async=SPEC]
  *
- *   problem:   tc | kcc-3..6 | ksc-3..6 | mc | si-4s | si-4s-L |
- *              cl-jac | cl-ovr | cl-tot
+ *   problem:   a registered problem (serve/problems.hpp; the usage
+ *              lists them); lp has no non-set baseline
  *   dataset:   any registry name (see --list), or file:PATH to load
  *              a plain-text edge list
  *   mode:      non-set | set-based | sisa
@@ -79,12 +79,15 @@
  * Every argument is validated up front: unknown tokens, non-numeric
  * counts, unknown datasets, and unreadable/malformed graph files all
  * print the usage and exit non-zero instead of crashing mid-run.
- * The usage text is GENERATED from kPositionalDocs/kKeyArgDocs below:
- * a new argument shows up in the synopsis and the per-key help by
- * adding one table entry, so the banner cannot drift from the parser.
+ * The usage text is GENERATED from kPositionalDocs/kKeyArgDocs below
+ * and the problem list from the problem registry: a new argument
+ * shows up in the synopsis and the per-key help by adding one table
+ * entry, so the banner cannot drift from the parser.
  */
 
+#include <algorithm>
 #include <charconv>
+#include <iterator>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -93,6 +96,7 @@
 #include "graph/dataset_registry.hpp"
 #include "graph/io.hpp"
 #include "harness.hpp"
+#include "serve/problems.hpp"
 #include "serve/scenario.hpp"
 #include "sisa/analysis.hpp"
 #include "sisa/faults.hpp"
@@ -124,20 +128,19 @@ struct ArgDoc
 {
     const char *name;     ///< Help-line label ("dataset", "serve").
     const char *synopsis; ///< Synopsis token ("[async=SPEC]").
-    const char *help;     ///< One-line description.
+    const char *help;     ///< One-line description (null: problems).
 };
 
 /** Positional arguments, in synopsis order. */
 constexpr ArgDoc kPositionalDocs[] = {
-    {"problem", "<problem>",
-     "tc | kcc-3..6 | ksc-3..6 | mc | si-4s[-L] | cl-jac | cl-ovr | "
-     "cl-tot (comma list of PROBLEM[:PRIORITY] under serve=)"},
+    {"problem", "<problem>", nullptr},
     {"dataset", "<dataset>",
      "registry name (--list) or file:PATH (edge list)"},
     {"mode", "<mode>", "non-set | set-based | sisa"},
     {"threads", "[threads]", "modeled thread count (default 32)"},
     {"cutoff", "[cutoff]",
-     "per-thread pattern cutoff (default per problem)"},
+     "per-thread pattern cutoff (default per problem; 0 = none, but "
+     "the problem's default under serve=)"},
     {"placement", "[placement]",
      "hash | range | locality (sisa mode only)"},
     {"routing", "[routing]",
@@ -181,7 +184,11 @@ usage(const char *argv0)
     const auto helpLine = [&banner](const ArgDoc &doc) {
         banner += std::string("       ") + doc.name + ":";
         banner += std::string(10 - std::strlen(doc.name), ' ');
-        banner += std::string(doc.help) + "\n";
+        banner += doc.help ? std::string(doc.help)
+                           : serve::problemNames() +
+                                 " (comma list of PROBLEM[:PRIORITY] "
+                                 "under serve=)";
+        banner += "\n";
     };
     for (const ArgDoc &doc : kPositionalDocs)
         helpLine(doc);
@@ -231,8 +238,8 @@ struct ServeOptions
  */
 int
 runServe(const graph::Graph &g, const std::string &problems,
-         const RunConfig &config, bool cutoff_given,
-         const ServeOptions &opts, const char *argv0)
+         const RunConfig &config, const ServeOptions &opts,
+         const char *argv0)
 {
     serve::ScenarioConfig sc;
     sc.policy = opts.policy;
@@ -242,10 +249,6 @@ runServe(const graph::Graph &g, const std::string &problems,
     sc.scu = config.scu;
     sc.placement = config.placement;
     sc.threads = config.threads;
-    if (config.routing == "min-bytes")
-        sc.scu.routing = isa::Routing::MinBytes;
-    else if (config.routing == "balanced")
-        sc.scu.routing = isa::Routing::Balanced;
 
     for (std::size_t start = 0; start <= problems.size();) {
         std::size_t comma = problems.find(',', start);
@@ -264,15 +267,13 @@ runServe(const graph::Graph &g, const std::string &problems,
             item.resize(colon);
         }
         spec.problem = item;
-        if (!serve::validServeProblem(spec.problem)) {
-            std::fprintf(stderr,
-                         "unknown serve problem '%s' (tc | mc | "
-                         "kcc-3..6 | cl-jac | cl-ovr | cl-tot | lp)\n",
-                         spec.problem.c_str());
+        if (!serve::findProblem(spec.problem)) {
+            std::fprintf(stderr, "unknown serve problem '%s' (%s)\n",
+                         spec.problem.c_str(),
+                         serve::problemNames().c_str());
             return usage(argv0);
         }
-        if (cutoff_given)
-            spec.cutoff = config.cutoff;
+        spec.cutoff = config.cutoff;
         sc.queries.push_back(std::move(spec));
     }
 
@@ -302,8 +303,7 @@ runServe(const graph::Graph &g, const std::string &problems,
                 config.threads,
                 config.placement.empty() ? "hash"
                                          : config.placement.c_str(),
-                config.routing.empty() ? "primary"
-                                       : config.routing.c_str(),
+                isa::routingName(config.scu.routing),
                 isa::shedPolicyName(opts.shed));
 
     const serve::ScenarioReport report =
@@ -371,24 +371,20 @@ main(int argc, char **argv)
     const std::string dataset = argv[2];
     const std::string mode_name = argv[3];
 
-    Mode mode;
-    if (mode_name == "non-set") {
-        mode = Mode::NonSet;
-    } else if (mode_name == "set-based") {
-        mode = Mode::SetBased;
-    } else if (mode_name == "sisa") {
-        mode = Mode::Sisa;
-    } else {
+    constexpr Mode kModes[] = {Mode::NonSet, Mode::SetBased, Mode::Sisa};
+    const Mode *mode_it = std::ranges::find_if(
+        kModes, [&](Mode m) { return mode_name == modeName(m); });
+    if (mode_it == std::end(kModes))
         return usage(argv[0]);
-    }
+    const Mode mode = *mode_it;
 
     RunConfig config;
     config.threads = 32;
+    config.cutoff = 0; // Until given: serve= reads 0 as each default.
     if (argc > 4 && !parseCount(argv[4], config.threads)) {
         std::fprintf(stderr, "invalid thread count '%s'\n", argv[4]);
         return usage(argv[0]);
     }
-    config.cutoff = defaultCutoff(problem);
     if (argc > 5 && !parseCount(argv[5], config.cutoff)) {
         std::fprintf(stderr, "invalid pattern cutoff '%s'\n", argv[5]);
         return usage(argv[0]);
@@ -405,11 +401,10 @@ main(int argc, char **argv)
         }
     }
     if (argc > 7) {
-        config.routing = argv[7];
-        if (config.routing != "primary" &&
-            config.routing != "min-bytes" &&
-            config.routing != "balanced")
+        const auto routing = isa::parseRouting(argv[7]);
+        if (!routing)
             return usage(argv[0]);
+        config.scu.routing = *routing;
         if (mode != Mode::Sisa) {
             std::fprintf(stderr,
                          "routing is only meaningful in sisa mode\n");
@@ -667,8 +662,21 @@ main(int argc, char **argv)
     isa::InstructionTrace trace;
     if (lint_trace)
         config.trace = &trace;
-    if (problem == "si-4s-L")
-        config.labels = 3;
+    if (!have_serve) {
+        const serve::Problem *entry = serve::findProblem(problem);
+        if (!entry) {
+            std::fprintf(stderr, "unknown problem '%s'\n",
+                         problem.c_str());
+            return usage(argv[0]);
+        }
+        if (mode == Mode::NonSet && !entry->nonSet) {
+            std::fprintf(stderr, "%s has no non-set baseline\n",
+                         problem.c_str());
+            return usage(argv[0]);
+        }
+        if (argc <= 5)
+            config.cutoff = entry->defaultCutoff;
+    }
 
     graph::Graph g;
     if (dataset.rfind("file:", 0) == 0) {
@@ -692,8 +700,7 @@ main(int argc, char **argv)
     }
     std::printf("dataset: %s\n", g.describe().c_str());
     if (have_serve) {
-        return runServe(g, problem, config, /*cutoff_given=*/argc > 5,
-                        serve_opts, argv[0]);
+        return runServe(g, problem, config, serve_opts, argv[0]);
     }
     std::printf("running %s in %s mode, T=%u, cutoff=%llu, "
                 "placement=%s, routing=%s, replace=%s\n",
@@ -703,8 +710,7 @@ main(int argc, char **argv)
                 : config.placement.empty() ? "hash"
                                            : config.placement.c_str(),
                 mode != Mode::Sisa ? "n/a"
-                : config.routing.empty() ? "primary"
-                                         : config.routing.c_str(),
+                                   : isa::routingName(config.scu.routing),
                 mode != Mode::Sisa      ? "n/a"
                 : config.replace        ? "dynamic"
                                         : "none");
