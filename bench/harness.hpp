@@ -104,18 +104,15 @@ runProblem(const std::string &problem, const Graph &graph, Mode mode,
     if (config.traceSetSizes)
         ctx.enableSetSizeTrace(5);
 
-    Graph labeled;
-    const Graph &g = entry->input(graph, labeled);
+    const serve::ProblemInput input = entry->prepare(graph);
+    const Graph &g = *input.graph;
 
     if (mode == Mode::NonSet) {
         sisa_assert(entry->nonSet,
                     "runProblem: problem has no non-set baseline");
         sim::CpuModel cpu(config.cpu, config.threads);
-        const bool orient = entry->state == serve::GraphState::Oriented;
-        const Graph oriented =
-            orient ? g.orientByRank(graph::exactDegeneracyOrder(g).rank)
-                   : Graph{};
-        baselines::CsrView view(orient ? oriented : g, cpu);
+        baselines::CsrView view(
+            input.orientation ? input.orientation->oriented : g, cpu);
         outcome.value = entry->nonSet(g, view, ctx);
     } else {
         std::unique_ptr<core::SetEngine> engine;
@@ -132,7 +129,7 @@ runProblem(const std::string &problem, const Graph &graph, Mode mode,
                 g.numVertices(), config.cpu, config.threads);
         }
         serve::ProblemSets sets =
-            entry->buildSets(g, *engine, config.policy);
+            entry->buildSets(input, *engine, config.policy);
         // Placement seeds from the neighborhood sets just built.
         if (sisa_engine)
             serve::installPlacement(*sisa_engine, config.placement,

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "core/set_engine.hpp"
 #include "core/set_graph.hpp"
@@ -26,22 +27,48 @@ using graph::Graph;
 using graph::VertexId;
 
 /**
+ * A graph's exact degeneracy order and the graph oriented by it.
+ * Read-only once built, so one copy can back the sets of many
+ * engines (the serving layer's tenants share one per problem).
+ */
+struct Orientation
+{
+    graph::DegeneracyResult degeneracy;
+    Graph oriented; ///< Arcs follow the degeneracy order.
+
+    explicit Orientation(const Graph &graph)
+        : degeneracy(graph::exactDegeneracyOrder(graph)),
+          oriented(graph.orientByRank(degeneracy.rank))
+    {
+    }
+};
+
+/**
  * A graph oriented by its degeneracy ordering together with the
  * SetGraph over the out-neighborhoods -- the common preprocessing of
  * the k-clique family (Algorithm 3, Table 4) and triangle counting.
  */
 struct OrientedSetGraph
 {
-    const Graph *original;     ///< The undirected input graph.
-    graph::DegeneracyResult degeneracy;
-    Graph oriented;            ///< Arcs follow the degeneracy order.
+    const Graph *original; ///< The undirected input graph.
+    std::shared_ptr<const Orientation> orientation;
+    const Graph &oriented; ///< orientation->oriented.
     std::unique_ptr<SetGraph> sets; ///< N+(v) as SISA sets.
 
     OrientedSetGraph(const Graph &graph, SetEngine &engine,
                      const sets::ReprPolicy &policy = {})
-        : original(&graph),
-          degeneracy(graph::exactDegeneracyOrder(graph)),
-          oriented(graph.orientByRank(degeneracy.rank)),
+        : OrientedSetGraph(graph, std::make_shared<const Orientation>(graph),
+                           engine, policy)
+    {
+    }
+
+    /** N+(v) in @p engine over an orientation of @p graph built once. */
+    OrientedSetGraph(const Graph &graph,
+                     std::shared_ptr<const Orientation> shared,
+                     SetEngine &engine,
+                     const sets::ReprPolicy &policy = {})
+        : original(&graph), orientation(std::move(shared)),
+          oriented(orientation->oriented),
           sets(std::make_unique<SetGraph>(oriented, engine, policy))
     {
     }

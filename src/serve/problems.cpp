@@ -1,5 +1,6 @@
 #include "serve/problems.hpp"
 
+#include <memory>
 #include <utility>
 
 #include "algorithms/bron_kerbosch.hpp"
@@ -143,30 +144,38 @@ constexpr Problem kProblems[] = {
 
 } // namespace
 
-const Graph &
-Problem::input(const Graph &graph, Graph &labeled) const
+ProblemInput
+Problem::prepare(const Graph &graph) const
 {
-    if (labels == 0)
-        return graph;
-    labeled = graph;
-    labeled.setVertexLabels(
-        graph::randomVertexLabels(graph.numVertices(), labels, 7));
-    return labeled;
+    ProblemInput input;
+    input.graph = &graph;
+    if (labels != 0) {
+        auto labeled = std::make_unique<Graph>(graph);
+        labeled->setVertexLabels(
+            graph::randomVertexLabels(graph.numVertices(), labels, 7));
+        input.labeled = std::move(labeled);
+        input.graph = input.labeled.get();
+    }
+    if (state == Oriented) {
+        input.orientation =
+            std::make_shared<const algorithms::Orientation>(*input.graph);
+    }
+    return input;
 }
 
 ProblemSets
-Problem::buildSets(const Graph &input, core::SetEngine &engine,
+Problem::buildSets(const ProblemInput &input, core::SetEngine &engine,
                    const sets::ReprPolicy &policy) const
 {
     ProblemSets sets;
-    sets.graph = &input;
+    sets.graph = input.graph;
     sets.engine = &engine;
     if (state == Oriented) {
         sets.oriented = std::make_unique<algorithms::OrientedSetGraph>(
-            input, engine, policy);
+            *input.graph, input.orientation, engine, policy);
     } else if (state == Undirected) {
         sets.undirected =
-            std::make_unique<core::SetGraph>(input, engine, policy);
+            std::make_unique<core::SetGraph>(*input.graph, engine, policy);
     }
     return sets;
 }

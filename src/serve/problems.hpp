@@ -33,6 +33,20 @@ enum class GraphState
     None,       ///< No neighborhood sets: the runner builds its own.
 };
 
+/**
+ * A problem's read-only graph inputs: its labelled copy of the graph
+ * and its degeneracy orientation, as the problem asks. Built once,
+ * then shared by every engine's sets (serving builds one per problem
+ * and scenario, not one per tenant).
+ */
+struct ProblemInput
+{
+    const graph::Graph *graph = nullptr; ///< The input the sets read.
+    std::unique_ptr<const graph::Graph> labeled; ///< Labels > 0 only.
+    /** GraphState::Oriented only. */
+    std::shared_ptr<const algorithms::Orientation> orientation;
+};
+
 /** The set-side state a set-centric runner starts from. */
 struct ProblemSets
 {
@@ -64,12 +78,18 @@ struct Problem
     NonSetRunner nonSet;         ///< Null: no non-set baseline (lp).
     SetRunner run;
 
-    /** @p graph, or its copy with this problem's labels in @p labeled. */
-    const graph::Graph &input(const graph::Graph &graph,
-                              graph::Graph &labeled) const;
+    /**
+     * This problem's inputs on @p graph: @p graph itself or its copy
+     * with this problem's labels, oriented if the problem starts from
+     * N+(v). @p graph must outlive the result.
+     */
+    ProblemInput prepare(const graph::Graph &graph) const;
 
-    /** This problem's neighborhood sets of @p input, in @p engine. */
-    ProblemSets buildSets(const graph::Graph &input,
+    /**
+     * This problem's neighborhood sets of @p input, in @p engine;
+     * @p input must outlive them.
+     */
+    ProblemSets buildSets(const ProblemInput &input,
                           core::SetEngine &engine,
                           const sets::ReprPolicy &policy = {}) const;
 };

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <functional>
+#include <map>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "core/query_session.hpp"
@@ -17,16 +18,14 @@ namespace sisa::serve {
 
 namespace {
 
-/** Everything one tenant owns (engine, graph state, session). */
+/** Everything one tenant owns (engine, sets, session). */
 struct Tenant
 {
     const Problem *problem = nullptr;
     std::unique_ptr<core::SisaEngine> engine;
     std::unique_ptr<core::QuerySession> session;
-    graph::Graph labeled; ///< The labelled input, if the problem asks.
     ProblemSets sets;
     std::uint64_t value = 0;
-    std::exception_ptr error;
 };
 
 } // namespace
@@ -58,6 +57,8 @@ serveMixedWorkload(const graph::Graph &graph,
     isa::QueryScheduler sched(config.policy, config.quantum);
     sched.setOverload(config.shed, config.admitCapacity,
                       config.scu.pim.vaults);
+    // Declared before the tenants, whose sets point into it.
+    std::map<const Problem *, ProblemInput> inputs;
     std::vector<Tenant> tenants(config.queries.size());
     for (std::size_t i = 0; i < tenants.size(); ++i) {
         tenants[i].problem = findProblem(config.queries[i].problem);
@@ -65,11 +66,13 @@ serveMixedWorkload(const graph::Graph &graph,
                     "serveMixedWorkload: unknown problem");
     }
 
-    // Phase 1 (serial, this thread): per-tenant engines, sessions,
-    // and graph state. Setup dispatches are not admission-gated and
-    // the shared pool is single-dispatch, so this must not overlap
-    // the concurrent phase. Enrollment order == spec order, which is
-    // what FCFS arrival rank and Credit round-robin order mean.
+    // Phase 1 (serial): per-tenant engines, sessions, and sets.
+    // Setup dispatches are not admission-gated and the shared pool is
+    // single-dispatch, so this must not overlap the serving phase.
+    // Enrollment order == spec order, which is what FCFS arrival rank
+    // and Credit round-robin order mean. The read-only graph inputs
+    // (labelled copy, degeneracy orientation) are built once per
+    // problem and shared by every tenant's sets.
     std::shared_ptr<isa::VaultWorkerPool> pool;
     for (std::size_t i = 0; i < config.queries.size(); ++i) {
         const QuerySpec &spec = config.queries[i];
@@ -89,8 +92,10 @@ serveMixedWorkload(const graph::Graph &graph,
             spec.problem, sched, config.threads, admission);
         t.session->ctx().setPatternCutoff(
             spec.cutoff != 0 ? spec.cutoff : t.problem->defaultCutoff);
-        t.sets = t.problem->buildSets(
-            t.problem->input(graph, t.labeled), *t.engine);
+        auto [input, fresh] = inputs.try_emplace(t.problem);
+        if (fresh)
+            input->second = t.problem->prepare(graph);
+        t.sets = t.problem->buildSets(input->second, *t.engine);
         installPlacement(*t.engine, config.placement, /*dynamic=*/false,
                          t.sets);
     }
@@ -105,11 +110,14 @@ serveMixedWorkload(const graph::Graph &graph,
                     "different engine than the query's sets");
     }
 
-    std::vector<std::thread> threads;
-    threads.reserve(tenants.size());
-    for (std::size_t i = 0; i < tenants.size(); ++i) {
-        threads.emplace_back([&, i] {
-            Tenant &t = tenants[i];
+    // Phase 3: every tenant is a fiber of the scheduler's grant loop
+    // on this thread. Query ids are enrollment order, so body i
+    // serves tenant i.
+    std::vector<std::function<void()>> bodies;
+    bodies.reserve(tenants.size());
+    for (Tenant &t : tenants) {
+        bodies.emplace_back([&t] {
+            std::exception_ptr error;
             try {
                 t.value = t.problem->run(t.sets, t.session->ctx());
             } catch (const isa::QueryCancelledError &) {
@@ -117,24 +125,25 @@ serveMixedWorkload(const graph::Graph &graph,
                 // not an error: the report carries the state and the
                 // query's value stays 0.
             } catch (...) {
-                t.error = std::current_exception();
+                error = std::current_exception();
             }
-            // Retire even on error: a query that never leaves would
-            // park every co-tenant forever (lockstep grants).
+            // Retire even on error (a query that never leaves would
+            // park every co-tenant forever), after the catch blocks:
+            // nothing that may reach admit() runs while this fiber
+            // holds a caught exception.
             try {
                 t.session->finish();
             } catch (...) {
-                if (!t.error)
-                    t.error = std::current_exception();
+                if (!error)
+                    error = std::current_exception();
             }
+            // The loop rethrows the lowest tenant's error after every
+            // session retired.
+            if (error)
+                std::rethrow_exception(error);
         });
     }
-    for (std::thread &thread : threads)
-        thread.join();
-    for (Tenant &t : tenants) {
-        if (t.error)
-            std::rethrow_exception(t.error);
-    }
+    sched.run(std::move(bodies));
 
     ScenarioReport report;
     report.queries.reserve(tenants.size());

@@ -7,13 +7,14 @@
  * This is the layer the `sisa_run serve=` CLI mode and the
  * bench/serving tail-latency harness sit on.
  *
- * Determinism: session setup (orientation, set materialization) runs
- * serially on the caller's thread -- the shared pool's runQueues is
- * not reentrant and setup dispatches are not admission-gated -- and
- * the algorithm phase runs on K host threads under the scheduler's
- * lockstep grants, so the admission log and every per-query cycle
- * count are a pure function of (graph, config), independent of host
- * thread timing.
+ * Everything runs on the caller's thread. Session setup (engines,
+ * set materialization) runs serially -- the shared pool's runQueues
+ * is not reentrant and setup dispatches are not admission-gated --
+ * over read-only graph inputs (labelled copy, degeneracy orientation)
+ * built once per problem and shared by every tenant. The algorithm
+ * phase runs each query as a fiber of the scheduler's grant loop
+ * under lockstep grants, so the admission log and every per-query
+ * cycle count are a pure function of (graph, config).
  */
 
 #ifndef SISA_SERVE_SCENARIO_HPP

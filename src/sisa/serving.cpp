@@ -1,7 +1,9 @@
 #include "sisa/serving.hpp"
 
 #include <algorithm>
+#include <exception>
 
+#include "support/fiber.hpp"
 #include "support/logging.hpp"
 
 namespace sisa::isa {
@@ -484,53 +486,109 @@ QueryScheduler::QueryScheduler(SchedPolicy policy, mem::Cycles quantum)
 {
 }
 
+QueryScheduler::~QueryScheduler() = default;
+
 void
 QueryScheduler::setOverload(ShedPolicy shed, std::size_t capacity,
                             std::uint32_t vaultWidth)
 {
-    const std::scoped_lock lock(mu_);
     model_.setOverload(shed, capacity, vaultWidth);
 }
 
 sim::QueryId
 QueryScheduler::enroll(const AdmissionSpec &spec)
 {
-    const std::scoped_lock lock(mu_);
+    sisa_assert(fibers_.empty(), "enroll() while the grant loop runs");
     const sim::QueryId id = model_.enroll(spec);
-    states_.push_back(State::Running);
+    parked_.push_back(false);
     ++unfinished_;
     return id;
 }
 
 void
-QueryScheduler::maybeGrantLocked()
+QueryScheduler::run(std::vector<std::function<void()>> bodies)
 {
-    if (grantOutstanding_ || waiting_ == 0 || waiting_ < unfinished_)
+    sisa_assert(fibers_.empty(), "run() is not reentrant");
+    sisa_assert(bodies.size() == model_.enrolled(),
+                "run() takes one body per enrolled query");
+    std::vector<std::unique_ptr<support::Fiber>> fibers;
+    fibers.reserve(bodies.size());
+    for (std::function<void()> &body : bodies)
+        fibers.push_back(std::make_unique<support::Fiber>(std::move(body)));
+    fibers_ = std::move(fibers);
+    std::vector<std::exception_ptr> errors(fibers_.size());
+    // Resume query q until it parks or its body ends. An ended body
+    // that never left is retired, so its co-tenants still get grants.
+    const auto step = [&](sim::QueryId q) {
+        try {
+            fibers_[q]->resume();
+        } catch (...) {
+            errors[q] = std::current_exception();
+        }
+        if (!fibers_[q]->done())
+            return;
+        fibers_[q].reset();
+        if (!model_.finished(q))
+            leave(q, {});
+    };
+    // Every body runs to its first admit() in enrollment order; the
+    // last one to park completes the lockstep condition and draws the
+    // first grant. From then on, only the grantee ever runs.
+    for (sim::QueryId q = 0; q < fibers_.size(); ++q)
+        step(q);
+    while (unfinished_ != 0) {
+        sisa_assert(grantee_ != sim::no_query,
+                    "grant loop: live queries but no grant");
+        step(grantee_);
+    }
+    fibers_.clear();
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
+}
+
+void
+QueryScheduler::maybeGrant()
+{
+    if (grantee_ != sim::no_query || waiting_ == 0 ||
+        waiting_ < unfinished_)
         return;
     // Every unfinished query is parked at admit(): the decision is a
-    // pure function of policy state, independent of host timing.
+    // pure function of policy state.
     waitingScratch_.clear();
-    for (sim::QueryId q = 0; q < states_.size(); ++q) {
-        if (!model_.finished(q) && states_[q] == State::Waiting)
+    for (sim::QueryId q = 0; q < parked_.size(); ++q) {
+        if (parked_[q] && !model_.finished(q))
             waitingScratch_.push_back(q);
     }
-    const ServingModel::Decision decision =
-        model_.decide(waitingScratch_);
-    states_[decision.query] = State::Granted;
-    grantOutstanding_ = true;
-    cv_.notify_all();
+    grantee_ = model_.decide(waitingScratch_).query;
 }
 
 QueryState
 QueryScheduler::admit(sim::QueryId query)
 {
-    std::unique_lock lock(mu_);
-    sisa_assert(states_[query] == State::Running,
+    sisa_assert(!parked_[query] && grantee_ != query,
                 "admit() while already admitted");
-    states_[query] = State::Waiting;
+    sisa_assert(!model_.finished(query), "admit() after leave()");
+    parked_[query] = true;
     ++waiting_;
-    maybeGrantLocked();
-    cv_.wait(lock, [&] { return states_[query] == State::Granted; });
+    maybeGrant();
+    if (grantee_ != query) {
+        // The grant went to a co-tenant, or waits for one still
+        // running: park until the loop resumes this query with it.
+        sisa_assert(!fibers_.empty() && support::Fiber::current(),
+                    "admit() must park, but no grant loop runs this "
+                    "query");
+        // The C++ runtime's caught-exception stack is per OS thread,
+        // not per fiber.
+        sisa_assert(std::uncaught_exceptions() == 0 &&
+                        !std::current_exception(),
+                    "admit() would park while handling an exception");
+        support::Fiber::suspend();
+        sisa_assert(grantee_ == query,
+                    "grant loop resumed a query without the grant");
+    }
+    parked_[query] = false;
     --waiting_;
     // The slot stays held either way: a grantee until report(), a
     // cancellation wake until leave() -- so cancelled teardown never
@@ -541,26 +599,21 @@ QueryScheduler::admit(sim::QueryId query)
 void
 QueryScheduler::report(sim::QueryId query, DispatchDemand demand)
 {
-    const std::scoped_lock lock(mu_);
-    sisa_assert(states_[query] == State::Granted,
-                "report() without a grant");
+    sisa_assert(grantee_ == query, "report() without a grant");
     model_.charge(query, demand);
-    states_[query] = State::Running;
-    grantOutstanding_ = false;
-    maybeGrantLocked();
+    grantee_ = sim::no_query;
+    maybeGrant();
 }
 
 mem::Cycles
 QueryScheduler::ownCycles(sim::QueryId query) const
 {
-    const std::scoped_lock lock(mu_);
     return model_.ownCycles(query);
 }
 
 void
 QueryScheduler::leave(sim::QueryId query, DispatchDemand demand)
 {
-    const std::scoped_lock lock(mu_);
     sisa_assert(!model_.finished(query), "leave() twice");
     model_.charge(query, demand);
     model_.finish(query);
@@ -568,10 +621,9 @@ QueryScheduler::leave(sim::QueryId query, DispatchDemand demand)
     // A departing grant-holder (normal or cancelled) releases the
     // slot; a departing bystander may complete the "all parked"
     // condition.
-    if (states_[query] == State::Granted)
-        grantOutstanding_ = false;
-    states_[query] = State::Running;
-    maybeGrantLocked();
+    if (grantee_ == query)
+        grantee_ = sim::no_query;
+    maybeGrant();
 }
 
 } // namespace sisa::isa

@@ -15,12 +15,14 @@
  *    clocks, the admission log, and the query LIFECYCLE machine
  *    (arrivals, deadlines, overload shedding, fault budgets). Exact-
  *    cycle pins drive it directly.
- *  - QueryScheduler: the thread-safe blocking wrapper the sessions'
- *    host threads park on. Admission is LOCKSTEP: a grant is issued
- *    only when every unfinished query is parked at its admit() point
- *    and at most one grant is outstanding, so the interleaving is a
- *    pure function of the policy and the queries' demands --
- *    deterministic regardless of host thread timing.
+ *  - QueryScheduler: the admission gate the sessions park on, and
+ *    the grant loop that runs them. Each query's body is a fiber on
+ *    the caller's thread; admit() parks it, and the loop resumes
+ *    exactly the query the grant went to. Admission is LOCKSTEP: a
+ *    grant is issued only when every unfinished query is parked at
+ *    its admit() point and at most one grant is outstanding, so the
+ *    interleaving is a pure function of the policy and the queries'
+ *    demands.
  *
  * Query lifecycle (PR 10). Every query walks the state machine
  *
@@ -56,9 +58,9 @@
 #ifndef SISA_SISA_SERVING_HPP
 #define SISA_SISA_SERVING_HPP
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -68,6 +70,10 @@
 
 #include "mem/pim.hpp"
 #include "sim/context.hpp"
+
+namespace sisa::support {
+class Fiber; // support/fiber.hpp
+} // namespace sisa::support
 
 namespace sisa::isa {
 
@@ -411,12 +417,12 @@ class ServingModel
 };
 
 /**
- * Thread-safe lockstep admission gate over a ServingModel. Protocol,
- * per session host thread:
+ * Lockstep admission gate over a ServingModel, and the grant loop
+ * that drives it. Protocol, per query body:
  *
- *   id = enroll(spec);                // before any thread starts
+ *   id = enroll(spec);                // before run()
  *   ... per dispatch:
- *   verdict = admit(id);              // blocks until granted/cancelled
+ *   verdict = admit(id);              // parks until granted/cancelled
  *   <dispatch through the bound Scu>  // (on a cancel verdict the Scu
  *   report(id, demand);               //  throws QueryCancelledError
  *   ... when the query completes:     //  instead of dispatching)
@@ -426,6 +432,13 @@ class ServingModel
  * a scheduler; leave() is the session teardown's job. A grant is
  * issued only when all unfinished queries are parked in admit(), so
  * every run of the same queries yields the same admission log.
+ *
+ * run() executes one body per enrolled query, each as a fiber on the
+ * calling thread: admit() suspends a query whose grant went to
+ * another, and the loop resumes exactly the grantee. A query whose
+ * own admit() completes the "all parked" condition and wins the
+ * grant continues without a switch, so a single session on a plain
+ * thread (K = 1) needs no loop at all.
  *
  * Cancellation rides the grant slot: a cancelled query wakes from
  * admit() with its verdict, does NOT report, and holds the slot
@@ -439,12 +452,17 @@ class QueryScheduler
     explicit QueryScheduler(
         SchedPolicy policy,
         mem::Cycles quantum = ServingModel::default_quantum);
+    ~QueryScheduler();
 
-    /** Configure overload protection BEFORE any thread starts. */
+    // Sessions and fibers hold pointers to the scheduler.
+    QueryScheduler(const QueryScheduler &) = delete;
+    QueryScheduler &operator=(const QueryScheduler &) = delete;
+
+    /** Configure overload protection BEFORE the first admit(). */
     void setOverload(ShedPolicy shed, std::size_t capacity = 0,
                      std::uint32_t vaultWidth = 0);
 
-    /** Register a query BEFORE its session thread starts. */
+    /** Register a query BEFORE the loop runs it. */
     sim::QueryId enroll(const AdmissionSpec &spec);
 
     sim::QueryId
@@ -456,10 +474,22 @@ class QueryScheduler
     }
 
     /**
-     * Block until the policy grants this query a dispatch slot.
+     * Run @p bodies[q] as query q's fiber (one body per enrolled
+     * query) until every query has left. A body that ends without
+     * leave() is retired with an empty demand, so its co-tenants
+     * still drain. Rethrows, after the loop, the exception of the
+     * lowest query id whose body threw.
+     */
+    void run(std::vector<std::function<void()>> bodies);
+
+    /**
+     * Wait for the policy to grant this query a dispatch slot:
+     * returns at once when the grant is its own, else parks the
+     * query's fiber until the loop resumes it with the grant.
      * Returns QueryState::Running on a grant; a cancellation verdict
      * (TimedOut / Shed / Aborted) means the dispatch must NOT run --
      * the caller drains its in-flight state and unwinds to leave().
+     * Parking outside run()'s loop is an assertion failure.
      */
     QueryState admit(sim::QueryId query);
 
@@ -470,33 +500,29 @@ class QueryScheduler
     void leave(sim::QueryId query, DispatchDemand demand);
 
     /**
-     * Own cycles the model has charged @p query so far, read under
-     * the scheduler lock -- safe while co-tenants are still running
-     * (session teardown settles its leave() tail against this).
+     * Own cycles the model has charged @p query so far (session
+     * teardown settles its leave() tail against this).
      */
     mem::Cycles ownCycles(sim::QueryId query) const;
 
     /**
      * The model, for post-run inspection (completions, admission
-     * log, lifecycle log). Only safe once every enrolled query has
-     * left.
+     * log, lifecycle log).
      */
     const ServingModel &model() const { return model_; }
 
   private:
-    enum class State : std::uint8_t { Running, Waiting, Granted };
+    /** Grant when all unfinished queries are parked. */
+    void maybeGrant();
 
-    /** Grant when all unfinished queries are parked (lock held). */
-    void maybeGrantLocked();
-
-    mutable std::mutex mu_;
-    std::condition_variable cv_;
     ServingModel model_;
-    std::vector<State> states_;
+    std::vector<bool> parked_;
     std::size_t unfinished_ = 0;
     std::size_t waiting_ = 0;
-    bool grantOutstanding_ = false;
+    sim::QueryId grantee_ = sim::no_query; ///< Holds the grant slot.
     std::vector<sim::QueryId> waitingScratch_;
+    /** Live query fibers while run() loops (empty otherwise). */
+    std::vector<std::unique_ptr<support::Fiber>> fibers_;
 };
 
 } // namespace sisa::isa

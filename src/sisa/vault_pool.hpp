@@ -31,7 +31,8 @@
  * single-dispatch -- runQueues' claim scratch is not reentrant
  * -- so sharers must serialize their dispatches. The serving layer's
  * lockstep QueryScheduler (sisa/serving.hpp) guarantees exactly that:
- * at most one session holds the dispatch grant at a time.
+ * every session is a fiber of one grant loop, and at most one holds
+ * the dispatch grant at a time.
  */
 
 #ifndef SISA_SISA_VAULT_POOL_HPP

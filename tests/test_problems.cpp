@@ -134,4 +134,37 @@ TEST(Problems, EveryProblemEveryModeGolden)
     EXPECT_EQ(checked, std::size(kGoldens));
 }
 
+TEST(Problems, OnePreparedInputServesManyEngines)
+{
+    // Serving prepares a problem's read-only inputs once and builds
+    // every tenant's sets over them: two engines sharing one input
+    // must compute what an engine over its own fresh input computes.
+    const graph::Graph g = goldenGraph();
+    isa::ScuConfig scu;
+    scu.batchWorkers = 1;
+    for (const serve::Problem &problem : serve::problems()) {
+        SCOPED_TRACE(std::string(problem.name));
+        const serve::ProblemInput shared = problem.prepare(g);
+        EXPECT_EQ(shared.graph == &g, problem.labels == 0);
+        EXPECT_EQ(shared.orientation != nullptr,
+                  problem.state == serve::GraphState::Oriented);
+        const auto runOn = [&](const serve::ProblemInput &input) {
+            core::SisaEngine engine(g.numVertices(), scu, 1);
+            serve::ProblemSets sets = problem.buildSets(input, engine);
+            EXPECT_EQ(sets.graph, input.graph);
+            if (sets.oriented) {
+                EXPECT_EQ(sets.oriented->orientation, input.orientation);
+            }
+            sim::SimContext ctx(1);
+            ctx.setPatternCutoff(problem.defaultCutoff / 4);
+            return problem.run(sets, ctx);
+        };
+        const std::uint64_t first = runOn(shared);
+        const std::uint64_t second = runOn(shared);
+        const std::uint64_t fresh = runOn(problem.prepare(g));
+        EXPECT_EQ(first, second);
+        EXPECT_EQ(first, fresh);
+    }
+}
+
 } // namespace

@@ -3,7 +3,8 @@
  * Multi-tenant serving tests: exact-cycle pins on the ServingModel
  * policy core (FCFS order, Credit deficit round-robin, Priority
  * preemption points, the virtual-time vault-queueing rule), lockstep
- * determinism of the QueryScheduler, and the headline isolation
+ * determinism and the fiber grant-loop contract of the
+ * QueryScheduler, and the headline isolation
  * differential -- every query's functional result and per-query
  * cycle/counter account is bit-identical solo vs. co-tenant, across
  * batch workers x routing x placement x faults x async, under every
@@ -13,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "algorithms/bron_kerbosch.hpp"
 #include "algorithms/kclique.hpp"
 #include "algorithms/triangle_count.hpp"
+#include "core/query_session.hpp"
 #include "core/sisa_engine.hpp"
 #include "graph/generators.hpp"
 #include "serve/problems.hpp"
@@ -161,7 +165,7 @@ TEST(ServingModel, SoloCompletionEqualsOwnWhenLanesFit)
 
 // --- QueryScheduler lockstep -----------------------------------------------
 
-/** Run @p dispatches admit/report rounds per query on K threads. */
+/** Run @p dispatches admit/report rounds per query in the grant loop. */
 std::vector<sim::QueryId>
 runLockstep(isa::SchedPolicy policy, mem::Cycles quantum,
             std::uint32_t queries, std::uint32_t dispatches,
@@ -171,9 +175,9 @@ runLockstep(isa::SchedPolicy policy, mem::Cycles quantum,
     std::vector<sim::QueryId> ids;
     for (std::uint32_t q = 0; q < queries; ++q)
         ids.push_back(sched.enroll());
-    std::vector<std::thread> threads;
+    std::vector<std::function<void()>> bodies;
     for (std::uint32_t q = 0; q < queries; ++q) {
-        threads.emplace_back([&, q] {
+        bodies.emplace_back([&, q] {
             for (std::uint32_t d = 0; d < dispatches; ++d) {
                 sched.admit(ids[q]);
                 sched.report(ids[q],
@@ -182,8 +186,7 @@ runLockstep(isa::SchedPolicy policy, mem::Cycles quantum,
             sched.leave(ids[q], {});
         });
     }
-    for (std::thread &t : threads)
-        t.join();
+    sched.run(std::move(bodies));
     return sched.model().admissionLog();
 }
 
@@ -205,6 +208,115 @@ TEST(QueryScheduler, CreditLockstepRoundRobinsOnQuantumBoundaries)
     for (int run = 0; run < 3; ++run)
         EXPECT_EQ(runLockstep(isa::SchedPolicy::Credit, 10, 3, 3, 10),
                   expect);
+}
+
+TEST(QueryScheduler, EveryBodyRunsOnTheCallersThread)
+{
+    isa::QueryScheduler sched(isa::SchedPolicy::Credit, 10);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::thread::id> seen;
+    std::vector<std::function<void()>> bodies;
+    for (std::uint32_t q = 0; q < 4; ++q) {
+        const sim::QueryId id = sched.enroll();
+        bodies.emplace_back([&, id] {
+            for (int d = 0; d < 3; ++d) {
+                seen.push_back(std::this_thread::get_id());
+                sched.admit(id);
+                seen.push_back(std::this_thread::get_id());
+                sched.report(id, {.own = 10, .lanes = {}});
+            }
+            sched.leave(id, {});
+        });
+    }
+    sched.run(std::move(bodies));
+    ASSERT_EQ(seen.size(), 4u * 3u * 2u);
+    for (const std::thread::id id : seen)
+        EXPECT_EQ(id, caller);
+    EXPECT_EQ(sched.model().admissionLog(),
+              (std::vector<sim::QueryId>{0, 1, 2, 3, 0, 1, 2, 3, 0, 1,
+                                         2, 3}));
+}
+
+TEST(QueryScheduler, ThrowingBodyLetsCoTenantsRetireThenRethrows)
+{
+    // q1 throws a plain error after its first grant, without leave():
+    // the loop retires it, q0 and q2 still run every dispatch, and
+    // the error surfaces from run() once all three have left.
+    isa::QueryScheduler sched(isa::SchedPolicy::Credit, 10);
+    std::vector<int> dispatched(3, 0);
+    std::vector<std::function<void()>> bodies;
+    for (std::uint32_t q = 0; q < 3; ++q) {
+        const sim::QueryId id = sched.enroll();
+        bodies.emplace_back([&, id] {
+            for (int d = 0; d < 3; ++d) {
+                sched.admit(id);
+                sched.report(id, {.own = 10, .lanes = {}});
+                ++dispatched[id];
+                if (id == 1)
+                    throw std::runtime_error("query 1 failed");
+            }
+            sched.leave(id, {});
+        });
+    }
+    try {
+        sched.run(std::move(bodies));
+        FAIL() << "run() swallowed the body's error";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "query 1 failed");
+    }
+    EXPECT_EQ(dispatched, (std::vector<int>{3, 1, 3}));
+    for (sim::QueryId q = 0; q < 3; ++q) {
+        EXPECT_TRUE(sched.model().finished(q));
+        EXPECT_EQ(sched.model().state(q), isa::QueryState::Completed);
+    }
+    EXPECT_EQ(sched.model().admissionLog(),
+              (std::vector<sim::QueryId>{0, 1, 2, 0, 2, 0, 2}));
+}
+
+TEST(QueryScheduler, SingleSessionOnAPlainThreadNeedsNoLoop)
+{
+    // The README's K=1 session: no run(), every grant is its own.
+    graph::RmatParams params;
+    params.scale = 7;
+    params.edgeFactor = 8;
+    const graph::Graph g = graph::rmat(params, 42);
+    isa::ScuConfig scu_config;
+    scu_config.batchWorkers = 1;
+    std::uint64_t solo = 0;
+    {
+        core::SisaEngine engine(g.numVertices(), scu_config, 1);
+        algorithms::OrientedSetGraph osg(g, engine);
+        sim::SimContext ctx(1);
+        solo = algorithms::triangleCount(osg, ctx);
+    }
+
+    isa::QueryScheduler sched(isa::SchedPolicy::Credit,
+                              /*quantum=*/2000);
+    core::QuerySession session("tc", sched, /*threads=*/1);
+    core::SisaEngine engine(g.numVertices(), scu_config,
+                            /*threads=*/1);       // per query
+    algorithms::OrientedSetGraph osg(g, engine);  // ungated setup
+    session.attach(engine);                       // dispatches now gate
+    const auto tc = algorithms::triangleCount(osg, session.ctx());
+    session.finish();                             // drain, retire, settle
+
+    EXPECT_EQ(tc, solo);
+    EXPECT_EQ(session.state(), isa::QueryState::Completed);
+    EXPECT_FALSE(sched.model().admissionLog().empty());
+}
+
+TEST(QuerySchedulerDeathTest, AdmitThatMustParkOutsideALoopAsserts)
+{
+    // Two live queries on a plain thread: q0's grant waits for q1,
+    // and nothing could ever resume q0 -- an assertion, not a hang.
+    EXPECT_DEATH(
+        {
+            isa::QueryScheduler sched(isa::SchedPolicy::Fcfs);
+            const sim::QueryId q0 = sched.enroll();
+            sched.enroll();
+            sched.admit(q0);
+        },
+        "no grant loop");
 }
 
 // --- Serving scenario differentials ----------------------------------------
