@@ -349,13 +349,14 @@ runKernelSweep(const std::string &json_path)
 
     // Batched-vs-serial SISA dispatch: the same N neighbor
     // intersections issued one instruction at a time ("scalar"
-    // column) vs as one dispatchBatch through the multi-threaded
-    // vault worker pool ("vector" column). Host wall-clock; the
+    // column) vs as one dispatchBatch whose ops execute on the
+    // multi-threaded vault worker pool before the lanes are charged
+    // on the calling thread ("vector" column). Host wall-clock; the
     // speedup scales with host cores (recorded as host_threads in
     // the JSON). The 4x64 row is the bk-dense dispatch shape -- a
     // handful of ops on tiny sets, one host worker -- where the fixed
-    // per-dispatch cost (front end, lane build, per-worker context
-    // setup and counter merge) dominates the set kernels. The 86x1k
+    // per-dispatch cost (front end, lane build, lane context setup
+    // and counter merge) dominates the set kernels. The 86x1k
     // row is triangle counting's mean batch (86 intersect-card ops,
     // one host worker), where the per-op host path (operand-fetch
     // dedup, metadata reads, charges) is what the batch pays for.
@@ -557,7 +558,7 @@ runKernelSweep(const std::string &json_path)
     // Remote-operand dedup guard: one vault serializing 512 ops whose
     // co-operands are all remote and distinct -- the worst case for
     // the per-lane fetched-set membership check (formerly an O(k)
-    // linear scan per op, now a per-worker hash set). Host
+    // linear scan per op, now a flat table of lane epochs). Host
     // wall-clock, serial vs batched.
     {
         const Element universe = 1u << 16;

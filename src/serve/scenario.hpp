@@ -8,7 +8,7 @@
  * bench/serving tail-latency harness sit on.
  *
  * Everything runs on the caller's thread. Session setup (engines,
- * set materialization) runs serially -- the shared pool's runQueues
+ * set materialization) runs serially -- the shared pool's parallelFor
  * is not reentrant and setup dispatches are not admission-gated --
  * over read-only graph inputs (labelled copy, degeneracy orientation)
  * built once per problem and shared by every tenant. The algorithm

@@ -39,7 +39,10 @@ parseRouting(std::string_view name)
 
 Scu::Scu(SetStore &store, const ScuConfig &config,
          std::uint32_t num_threads)
-    : store_(store), config_(config)
+    : store_(store), config_(config),
+      hostWorkers_(config.batchWorkers
+                       ? config.batchWorkers
+                       : std::max(std::thread::hardware_concurrency(), 1u))
 {
     setPlacement(config_.placement);
     quarantine_.reset(std::max<std::uint32_t>(config_.pim.vaults, 1));
@@ -790,15 +793,6 @@ Scu::resultBytes(const OpOutcome &outcome) const
     return 8; // Scalar result register.
 }
 
-std::uint32_t
-Scu::batchWorkerCount() const
-{
-    if (config_.batchWorkers)
-        return config_.batchWorkers;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
-}
-
 VaultWorkerPool &
 Scu::pool()
 {
@@ -809,7 +803,7 @@ std::shared_ptr<VaultWorkerPool>
 Scu::sharedPool()
 {
     if (!pool_)
-        pool_ = std::make_shared<VaultWorkerPool>(batchWorkerCount());
+        pool_ = std::make_shared<VaultWorkerPool>(hostWorkers_);
     return pool_;
 }
 
@@ -998,40 +992,20 @@ Scu::quarantineVault(sim::SimContext &ctx, sim::ThreadId tid,
 }
 
 void
-Scu::preExecuteOutcomes(const BatchRequest &batch,
-                        std::uint64_t dispatch)
+Scu::executeOps(const BatchRequest &batch, std::uint64_t dispatch)
 {
-    const std::size_t n = batch.size();
-    const auto chunks = static_cast<std::uint32_t>(
-        std::min<std::size_t>(batchWorkerCount(), n));
-    if (chunks <= 1) {
-        for (std::size_t i = 0; i < n; ++i) {
-            outcomes_[i] = executeOp(
-                dispatch, static_cast<std::uint32_t>(i), batch.ops[i]);
-        }
-        return;
+    // Each op writes only its own outcome slot, so any thread may run
+    // it; nothing is charged until the lanes are laid out.
+    const auto execute = [&](std::size_t i) {
+        outcomes_[i] = executeOp(dispatch, static_cast<std::uint32_t>(i),
+                                 batch.ops[i]);
+    };
+    if (hostWorkers_ <= 1) {
+        for (std::size_t i = 0; i < batch.size(); ++i)
+            execute(i);
+    } else {
+        pool().parallelFor(batch.size(), execute);
     }
-    // One block-partitioned pseudo-queue per worker; stealing
-    // rebalances whatever the even split gets wrong (op costs are
-    // data-dependent). No charging happens here -- the scheduler
-    // has not assigned vaults yet.
-    laneSizes_.resize(chunks);
-    std::vector<std::size_t> base(chunks);
-    for (std::uint32_t j = 0; j < chunks; ++j) {
-        const std::size_t begin = j * n / chunks;
-        base[j] = begin;
-        laneSizes_[j] =
-            static_cast<std::uint32_t>((j + 1) * n / chunks - begin);
-    }
-    pool().runQueues(
-        laneSizes_, chunks,
-        [&](std::uint32_t chunk, std::uint32_t pos) {
-            const std::size_t i = base[chunk] + pos;
-            outcomes_[i] = executeOp(
-                dispatch, static_cast<std::uint32_t>(i), batch.ops[i]);
-        },
-        [](std::uint32_t, std::uint32_t, std::uint32_t) {},
-        /*steal=*/true);
 }
 
 namespace {
@@ -1270,9 +1244,8 @@ Scu::appendLanes(const Ops &ops)
 }
 
 void
-Scu::FetchDedup::beginLane(std::uint32_t l)
+Scu::FetchDedup::beginLane()
 {
-    lane = l;
     if (++epoch == 0) {
         // The epoch wrapped: stale stamps could alias the new one.
         std::fill(epochOf.begin(), epochOf.end(), 0);
@@ -1291,43 +1264,41 @@ Scu::FetchDedup::firstFetch(SetId id)
     return true;
 }
 
-std::span<sim::SimContext>
-Scu::resetChargeScratch(std::uint32_t workers, std::uint32_t lanes,
-                        sim::QueryId query)
+void
+Scu::resetLaneCharge(std::uint32_t lanes, sim::QueryId query)
 {
-    while (workerCtx_.size() < workers)
-        workerCtx_.emplace_back(1);
-    if (fetchDedup_.size() < workers)
-        fetchDedup_.resize(workers);
-    for (std::uint32_t w = 0; w < workers; ++w) {
-        workerCtx_[w].reset((lanes - w + workers - 1) / workers);
-        // Tag lane charges with the issuing context's query so the
-        // barrier's absorbCounters lands them in its account.
-        workerCtx_[w].bindQuery(query);
-        fetchDedup_[w].lane = UINT32_MAX;
-    }
-    return {workerCtx_.data(), workers};
+    laneCtx_.reset(lanes);
+    // Tag lane charges with the issuing context's query so
+    // absorbCounters lands them in its account.
+    laneCtx_.bindQuery(query);
 }
 
 void
-Scu::chargeLaneOp(sim::SimContext &wctx, sim::ThreadId lane_tid,
-                  FetchDedup &fetched, std::uint32_t l,
-                  std::uint32_t i, std::uint64_t dispatch_idx)
+Scu::chargeLane(std::uint32_t l, std::uint64_t dispatch_idx)
 {
-    // The accounting half of op i on lane l, with `fetched` deduping
+    fetched_.beginLane();
+    for (const std::uint32_t i : laneOps_[l])
+        chargeLaneOp(l, i, dispatch_idx);
+}
+
+void
+Scu::chargeLaneOp(std::uint32_t l, std::uint32_t i,
+                  std::uint64_t dispatch_idx)
+{
+    // The accounting half of op i on lane l, with fetched_ deduping
     // the lane's remote operand pulls (scope: one lane within one
-    // dispatch). Shared between the barriered worker charge path,
-    // the permanent-failure recovery replay, and the async window's
-    // virtual-time extraction, so every path bills one rule. The
-    // fault hooks (transfer-drop retransmits, operand/result
-    // checksum verifies, lane stalls) all sit behind the faults_
-    // gate -- with the injector off this body is bit-identical to
-    // the fault-free charge path.
+    // dispatch). Shared between the barrier, the permanent-failure
+    // recovery replay, and the async window's virtual-time
+    // extraction, so every path bills one rule. The fault hooks
+    // (transfer-drop retransmits, operand/result checksum verifies,
+    // lane stalls) all sit behind the faults_ gate -- with the
+    // injector off this body is bit-identical to the fault-free
+    // charge path.
     const OpRoute &route = routes_[i];
     const OpOutcome &outcome = outcomes_[i];
     const bool reads_remote =
         route.remoteIsB ? outcome.readsB : outcome.readsA;
-    if (route.bytes && reads_remote && fetched.firstFetch(route.remote)) {
+    if (route.bytes && reads_remote && fetched_.firstFetch(route.remote)) {
         if (faults_) {
             // Interconnect drops: every lost transfer pays its full
             // b_L crossing plus the retry backoff, then retransmits;
@@ -1346,47 +1317,44 @@ Scu::chargeLaneOp(sim::SimContext &wctx, sim::ThreadId lane_tid,
                         std::to_string(laneVault_[l]) +
                         " dropped past the retry budget");
                 }
-                wctx.chargeBusy(
-                    lane_tid,
+                laneCtx_.chargeBusy(
+                    l,
                     mem::interconnectCycles(config_.pim, route.bytes) +
                         faults_->backoff(attempt));
-                wctx.bumpCounter(Counter::Retries);
-                wctx.bumpCounter(Counter::RecoveryBytes, route.bytes);
+                laneCtx_.bumpCounter(Counter::Retries);
+                laneCtx_.bumpCounter(Counter::RecoveryBytes, route.bytes);
                 ++attempt;
             }
         }
-        wctx.chargeBusy(lane_tid, mem::interconnectCycles(
-                                      config_.pim, route.bytes));
-        wctx.bumpCounter(Counter::XvaultTransfers);
-        wctx.bumpCounter(Counter::XvaultBytes, route.bytes);
+        laneCtx_.chargeBusy(l,
+                            mem::interconnectCycles(config_.pim, route.bytes));
+        laneCtx_.bumpCounter(Counter::XvaultTransfers);
+        laneCtx_.bumpCounter(Counter::XvaultBytes, route.bytes);
         if (faults_ && faults_->config().verifyChecksums) {
             // Operand integrity: the receiving vault streams the
             // fetched payload once through its checksum unit.
-            wctx.chargeBusy(lane_tid, verifyCycles(route.bytes));
-            wctx.bumpCounter(Counter::ChecksumVerifies);
+            laneCtx_.chargeBusy(l, verifyCycles(route.bytes));
+            laneCtx_.bumpCounter(Counter::ChecksumVerifies);
         }
-        if (dynamic_) {
-            // Each lane has exactly one charging thread: no
-            // contention on the lane's fetch log.
+        if (dynamic_)
             laneFetched_[l].emplace_back(route.remote, route.bytes);
-        }
     }
     if (faults_) {
         const mem::Cycles stall = faults_->stallCycles(dispatch_idx, i);
         if (stall) {
             // A transient lane hiccup (queue arbitration glitch,
             // refresh collision): pure stall cycles, no work.
-            wctx.chargeStall(lane_tid, stall);
-            wctx.bumpCounter(Counter::LaneStalls);
+            laneCtx_.chargeStall(l, stall);
+            laneCtx_.bumpCounter(Counter::LaneStalls);
         }
     }
-    chargeOutcome(wctx, lane_tid, outcome);
+    chargeOutcome(laneCtx_, l, outcome);
     if (faults_ && faults_->config().verifyChecksums &&
         outcome.numCharges) {
         // Result integrity: checksum the result as it streams out
         // of the vault (the SCU compares on adoption).
-        wctx.chargeBusy(lane_tid, verifyCycles(resultBytes(outcome)));
-        wctx.bumpCounter(Counter::ChecksumVerifies);
+        laneCtx_.chargeBusy(l, verifyCycles(resultBytes(outcome)));
+        laneCtx_.bumpCounter(Counter::ChecksumVerifies);
     }
 }
 
@@ -1500,27 +1468,24 @@ Scu::collectFailures(std::uint64_t dispatch)
 }
 
 std::uint32_t
-Scu::routeBatch(const BatchRequest &batch, std::uint64_t dispatch,
-                bool execute_all)
+Scu::routeBatch(const BatchRequest &batch, std::uint64_t dispatch)
 {
-    // Route operations to their execution vaults and build one
-    // serial queue per touched vault ("lane"). Primary/MinBytes
-    // resolve each op independently from metadata (resolveRoute);
-    // Balanced executes the whole batch functionally first and runs
-    // the LPT scheduler over the exact cycle charges, so its routes
-    // reflect per-vault load. Operations whose co-operand stayed in
-    // a different vault must first pull its bytes over the
-    // interconnect (charged once per (vault, operand) pair -- the
-    // vault buffers the remote operand for the dispatch's duration).
+    // Execute the whole batch functionally, then route operations to
+    // their execution vaults and build one serial queue per touched
+    // vault ("lane"). Primary/MinBytes resolve each op independently
+    // from metadata (resolveRoute); Balanced runs the LPT scheduler
+    // over the exact cycle charges, so its routes reflect per-vault
+    // load. Operations whose co-operand stayed in a different vault
+    // must first pull its bytes over the interconnect (charged once
+    // per (vault, operand) pair -- the vault buffers the remote
+    // operand for the dispatch's duration).
     const std::size_t n = batch.size();
     if (outcomes_.size() < n)
         outcomes_.resize(n);
     if (routes_.size() < n)
         routes_.resize(n);
-    const bool balanced = config_.routing == Routing::Balanced;
-    if (balanced || execute_all)
-        preExecuteOutcomes(batch, dispatch);
-    if (balanced) {
+    executeOps(batch, dispatch);
+    if (config_.routing == Routing::Balanced) {
         scheduleBalanced(batch);
     } else {
         for (std::uint32_t i = 0; i < n; ++i)
@@ -1684,16 +1649,11 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
     const DispatchFront front =
         beginDispatch(ctx, tid, batch, /*windowed=*/false);
     const std::uint64_t dispatch_idx = front.index;
-    const bool balanced = config_.routing == Routing::Balanced;
-    const std::uint32_t lanes =
-        routeBatch(batch, dispatch_idx, /*execute_all=*/false);
-    const std::vector<std::vector<std::uint32_t>> &lane_ops = laneOps_;
-    const std::uint32_t workers =
-        std::min(batchWorkerCount(), lanes);
+    const std::uint32_t lanes = routeBatch(batch, dispatch_idx);
 
     // Permanent vault failures striking this dispatch: their lanes
-    // fail-stop (nobody executes or charges them) and
-    // recoverFailedLanes re-routes the stranded ops.
+    // fail-stop (nothing is charged on them) and recoverFailedLanes
+    // re-routes the stranded ops.
     const bool have_failures = faults_ && collectFailures(dispatch_idx);
     if (have_failures) {
         laneDead_.resize(lanes);
@@ -1705,87 +1665,25 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
                     : 0;
         }
     }
-    const std::function<bool(std::uint32_t)> lane_dead_fn =
-        [this](std::uint32_t l) { return laneDead_[l] != 0; };
-
-    // Worker w executes lanes l with l % workers == w, charging
-    // modeled cycles into its private SimContext (one logical thread
-    // per lane) -- no shared mutable state until the barrier.
-    const std::span<sim::SimContext> worker_ctx =
-        resetChargeScratch(workers, lanes, ctx.activeQuery());
-
-    laneSizes_.resize(lanes);
-    for (std::uint32_t l = 0; l < lanes; ++l)
-        laneSizes_[l] = static_cast<std::uint32_t>(lane_ops[l].size());
-
-    // The functional half of one op: any thread may run it (workers
-    // steal it from deep queues), it writes only the op's own outcome
-    // slot. Balanced batches were already executed by the scheduler.
-    const auto execute_op = [&](std::uint32_t l, std::uint32_t pos) {
-        if (balanced)
-            return;
-        const std::uint32_t i = lane_ops[l][pos];
-        outcomes_[i] = executeOp(dispatch_idx, i, batch.ops[i]);
-    };
-
-    // Worker wrapper: only the lane's owning worker charges, in
-    // lane-op order, into its private SimContext -- deterministic no
-    // matter who executed the op. The worker's FetchDedup remembers
-    // the remote operands already pulled into the current lane
-    // (fetched once, reused by later ops; the batched_dispatch_
-    // 1vault_* bench row guards the large single-vault case). Owners
-    // visit their lanes in index order, so a lane change starts a
-    // new dedup epoch.
-    const auto charge_op = [&](std::uint32_t w, std::uint32_t l,
-                               std::uint32_t pos) {
-        FetchDedup &fetched = fetchDedup_[w];
-        if (fetched.lane != l)
-            fetched.beginLane(l);
-        chargeLaneOp(worker_ctx[w], l / workers, fetched, l,
-                     lane_ops[l][pos], dispatch_idx);
-    };
-
-    if (workers <= 1) {
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            if (have_failures && laneDead_[l])
-                continue;
-            for (std::uint32_t pos = 0; pos < laneSizes_[l]; ++pos) {
-                execute_op(l, pos);
-                charge_op(0, l, pos);
-            }
-        }
-    } else {
-        // Per-vault queues with work stealing: owners charge, idle
-        // workers execute ops from the deepest queue (no stealing
-        // when the batch is pre-executed -- charging can't move).
-        pool().runQueues(laneSizes_, workers, execute_op, charge_op,
-                         /*steal=*/!balanced,
-                         have_failures ? &lane_dead_fn : nullptr);
-    }
 
     // Barrier: vaults ran concurrently, so the issuing thread pays
-    // the makespan of the slowest vault; work counters simply sum.
+    // the makespan of the slowest lane; work counters simply sum.
+    resetLaneCharge(lanes, ctx.activeQuery());
     mem::Cycles makespan = 0;
-    for (const sim::SimContext &wctx : worker_ctx) {
-        for (sim::ThreadId lane = 0; lane < wctx.numThreads(); ++lane)
-            makespan = std::max(makespan, wctx.threadCycles(lane));
+    for (std::uint32_t l = 0; l < lanes; ++l) {
+        if (have_failures && laneDead_[l])
+            continue;
+        chargeLane(l, dispatch_idx);
+        makespan = std::max(makespan, laneCtx_.threadCycles(l));
+        // Shared-vault occupancy for the admission model.
+        noteVaultBusy(laneVault_[l], laneCtx_.threadCycles(l));
     }
-    if (sched_) {
-        // Shared-vault occupancy for the admission model: lane l ran
-        // on worker l % workers as its modeled thread l / workers.
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            noteVaultBusy(laneVault_[l],
-                          worker_ctx[l % workers].threadCycles(
-                              l / workers));
-        }
-    }
+    ctx.absorbCounters(laneCtx_);
     if (have_failures) {
         makespan += recoverFailedLanes(ctx, tid, batch, dispatch_idx);
     }
     makespan += reduceResults(ctx).value_or(0);
     ctx.chargeBusy(tid, makespan);
-    for (const sim::SimContext &wctx : worker_ctx)
-        ctx.absorbCounters(wctx);
 
     // Dynamic re-placement closes the barrier: feed the observed
     // transfers to the policy and charge/apply its migrations.
@@ -1831,8 +1729,7 @@ Scu::recoverFailedLanes(sim::SimContext &ctx, sim::ThreadId tid,
     // ops on fresh loads (the healthy lanes already drained at the
     // barrier); the per-op rules re-resolve. Then one recovery lane
     // per replacement vault is appended after the healthy lanes.
-    const bool balanced = config_.routing == Routing::Balanced;
-    if (balanced) {
+    if (config_.routing == Routing::Balanced) {
         lptSweep(batch, recoveredOps_, /*write_routes=*/true);
     } else {
         for (const std::uint32_t i : recoveredOps_)
@@ -1840,30 +1737,20 @@ Scu::recoverFailedLanes(sim::SimContext &ctx, sim::ThreadId tid,
     }
     const std::uint32_t rec_lanes = appendLanes(recoveredOps_) - lanes;
 
-    // Replay the stranded ops: execute (non-balanced ops were never
-    // run -- their vault died first) and charge through the shared
-    // lane rule, one modeled thread per recovery lane (the
-    // replacement vaults run concurrently), serial on the host --
-    // recovery is the rare path, so its context is its own (the
-    // workers' contexts still hold counters the barrier merges). The
-    // replay phase starts after the watchdog fired, so its makespan
-    // adds to the dispatch's.
-    sim::SimContext rctx(rec_lanes);
-    rctx.bindQuery(ctx.activeQuery());
-    FetchDedup &fetched = fetchDedup_[0];
+    // Replay the stranded ops' charges (the execution phase already
+    // ran them) through the shared lane rule, one modeled thread per
+    // recovery lane (the replacement vaults run concurrently). The
+    // barrier already merged the healthy lanes' counters, so the
+    // lane context starts over. The replay phase starts after the
+    // watchdog fired, so its makespan adds to the dispatch's.
+    resetLaneCharge(lanes + rec_lanes, ctx.activeQuery());
     mem::Cycles replay = 0;
-    for (std::uint32_t rl = 0; rl < rec_lanes; ++rl) {
-        const std::uint32_t l = lanes + rl;
-        fetched.beginLane(l);
-        for (const std::uint32_t i : laneOps_[l]) {
-            if (!balanced)
-                outcomes_[i] = executeOp(dispatch, i, batch.ops[i]);
-            chargeLaneOp(rctx, rl, fetched, l, i, dispatch);
-        }
-        replay = std::max(replay, rctx.threadCycles(rl));
-        noteVaultBusy(laneVault_[l], rctx.threadCycles(rl));
+    for (std::uint32_t l = lanes; l < lanes + rec_lanes; ++l) {
+        chargeLane(l, dispatch);
+        replay = std::max(replay, laneCtx_.threadCycles(l));
+        noteVaultBusy(laneVault_[l], laneCtx_.threadCycles(l));
     }
-    ctx.absorbCounters(rctx);
+    ctx.absorbCounters(laneCtx_);
     return cycles + replay;
 }
 
@@ -1929,7 +1816,6 @@ Scu::maybeShrinkScratch(std::size_t n)
     shrink(routes_, scratchPeak_);
     shrink(schedOrder_, scratchPeak_);
     shrink(laneResultBytes_, scratchPeak_);
-    shrink(laneSizes_, scratchPeak_);
     shrink(laneVault_, scratchPeak_);
     for (auto &lane : laneOps_)
         shrink(lane, scratchPeak_);
@@ -2085,12 +1971,10 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
     const DispatchFront front =
         beginDispatch(ctx, tid, batch, /*windowed=*/true);
     const std::uint64_t dispatch_idx = front.index;
-    // Functional execution is EAGER and in program order -- the
-    // window only lets modeled time run ahead. Every routing mode
-    // pre-executes (the virtual lane clocks need each op's exact
-    // cycle cost before any lane can be laid out).
-    const std::uint32_t lanes =
-        routeBatch(batch, dispatch_idx, /*execute_all=*/true);
+    // Functional execution is EAGER, at dispatch -- the window only
+    // lets modeled time run ahead (the virtual lane clocks need each
+    // op's exact cycle cost before any lane can be laid out).
+    const std::uint32_t lanes = routeBatch(batch, dispatch_idx);
 
     // Scoreboard join: per-op virtual ready times against the
     // window's unretired defs (incremental cross-batch DAG join --
@@ -2099,28 +1983,25 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
     const std::vector<std::uint64_t> ready =
         deps_.joinBatch(analysis::Program::fromBatch(batch), issue_v);
 
-    // Virtual-time lane accounting: the SAME charge rule as the
-    // barriered path (chargeLaneOp), billed serially into a scratch
-    // context so each op's exact cost reads back as a threadCycles
-    // delta. An op starts at max(its vault's lane clock, its
-    // scoreboard ready time); lane clocks persist across the
-    // window's batches, which is precisely where the overlap win
-    // comes from. Counters merge into ctx below (absorbCounters), so
-    // counter totals stay bit-identical to dispatchBatch.
-    sim::SimContext &acct =
-        resetChargeScratch(1, 1, ctx.activeQuery()).front();
-    FetchDedup &fetched = fetchDedup_[0];
+    // Virtual-time lane accounting: the SAME charge rule and lane
+    // context as the barrier (chargeLaneOp), so each op's exact cost
+    // reads back as a threadCycles delta. An op starts at max(its
+    // vault's lane clock, its scoreboard ready time); lane clocks
+    // persist across the window's batches, which is precisely where
+    // the overlap win comes from. Counters merge into ctx below
+    // (absorbCounters), so counter totals stay bit-identical to
+    // dispatchBatch.
+    resetLaneCharge(lanes, ctx.activeQuery());
     mem::Cycles batch_end = issue_v;
     for (std::uint32_t l = 0; l < lanes; ++l) {
         const std::uint32_t vault = laneVault_[l];
-        fetched.beginLane(l);
-        const mem::Cycles lane_entry = acct.threadCycles(0);
+        fetched_.beginLane();
         mem::Cycles lane_clock =
             std::max(laneClockV_[vault], issue_v);
         for (const std::uint32_t i : laneOps_[l]) {
-            const mem::Cycles before = acct.threadCycles(0);
-            chargeLaneOp(acct, 0, fetched, l, i, dispatch_idx);
-            const mem::Cycles cost = acct.threadCycles(0) - before;
+            const mem::Cycles before = laneCtx_.threadCycles(l);
+            chargeLaneOp(l, i, dispatch_idx);
+            const mem::Cycles cost = laneCtx_.threadCycles(l) - before;
             const mem::Cycles start =
                 std::max<mem::Cycles>(lane_clock, ready[i]);
             lane_clock = start + cost;
@@ -2135,7 +2016,7 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
         batch_end = std::max(batch_end, lane_clock);
         // Shared-vault occupancy for the admission model: the lane's
         // busy time is its charge total, exactly as barriered.
-        noteVaultBusy(vault, acct.threadCycles(0) - lane_entry);
+        noteVaultBusy(vault, laneCtx_.threadCycles(l));
     }
 
     // The reduction tree is laid out in virtual time after the
@@ -2150,7 +2031,7 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
 
     // Merge the lane counters now; the cycles stay virtual and are
     // paid only when something genuinely waits (retire/sync/drain).
-    ctx.absorbCounters(acct);
+    ctx.absorbCounters(laneCtx_);
 
     // Dynamic re-placement still closes every dispatch: identical
     // observations (laneFetched_ is written by the same charge

@@ -26,7 +26,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -114,10 +113,11 @@ struct ScuConfig
      */
     double gallopThreshold = 0.0;
     /**
-     * Host worker threads executing batched dispatches (one worker
-     * serves vaults v with v % workers == worker id). 0 selects
+     * Host worker threads executing the operations of a batched
+     * dispatch (resolved once, when the SCU is built). 0 selects
      * std::thread::hardware_concurrency(); 1 disables the pool and
-     * runs batches inline on the calling thread.
+     * runs batches inline on the calling thread. Lane charging always
+     * runs on the calling thread, so no modeled value depends on it.
      */
     std::uint32_t batchWorkers = 0;
     /**
@@ -230,22 +230,22 @@ class Scu
      *     bigger operand's under MinBytes; the vault the LPT batch
      *     scheduler picks under Balanced -- see the Routing enum);
      *  3. lanes: operations on the same vault form one serial lane;
-     *  4. execute and charge (the only stage the two paths do
-     *     differently, together with how completion is paid);
+     *  4. charge: each lane's ops are billed in lane order into one
+     *     lane context (one modeled thread per lane) on the calling
+     *     thread -- the only stage the two paths do differently,
+     *     together with how completion is paid;
      *  5. the cross-vault result reduction tree;
      *  6. retire: results materialize in request order, the fault
      *     summary is taken, and the serving demand is reported.
      *
-     * Here, vaults run in parallel and the calling simulated thread
-     * is charged, as busy cycles, the makespan of the slowest vault
-     * (merged at the barrier from per-worker SimContexts) plus the
-     * reduction tree. On the host, the per-vault queues run on the
-     * worker pool with work stealing (VaultWorkerPool::runQueues):
-     * idle workers execute ops of the deepest queue while the owner
-     * retains all cycle charging, so wall-clock tracks the balanced
-     * makespan without disturbing the deterministic modeled
-     * accounting. Lanes on a permanently failed vault fail-stop and
-     * their operations are recovered on live vaults (faults.hpp).
+     * Every operation is executed functionally before stage 2 (on
+     * the host worker pool with more than one host worker, inline
+     * otherwise); executing never charges, so the host pool's size
+     * never moves a modeled value. Here, vaults run in parallel and
+     * the calling simulated thread is charged, as busy cycles, the
+     * makespan of the slowest lane plus the reduction tree. Lanes on
+     * a permanently failed vault fail-stop and their operations are
+     * recovered on live vaults (faults.hpp).
      *
      * Cross-vault traffic model: when an operation's co-operand
      * resolves to a DIFFERENT vault than its execution vault, the
@@ -489,9 +489,9 @@ class Scu
     /**
      * Share one host worker pool among several SCUs -- the serving
      * layer's K sessions must not spawn K pools. Callers own the
-     * serialization guarantee (runQueues is not reentrant): the
-     * lockstep QueryScheduler provides exactly that, and the pool
-     * must have been built for at least this SCU's batchWorkers.
+     * serialization guarantee (VaultWorkerPool::parallelFor is not
+     * reentrant): the lockstep QueryScheduler provides exactly that.
+     * The pool may have any size; it only executes operations.
      */
     void adoptPool(std::shared_ptr<VaultWorkerPool> pool);
 
@@ -645,14 +645,15 @@ class Scu
     OpRoute resolveRoute(SetId a, SetId b) const;
 
     /**
-     * Balanced-routing phase 1: execute every batch operation
-     * functionally into outcomes_ (in parallel on the worker pool,
-     * with stealing) WITHOUT charging anything -- the scheduler needs
-     * the exact per-op cycle charges before it can assign vaults.
+     * Execution phase of every batched dispatch: execute each batch
+     * operation functionally into outcomes_ (through the worker
+     * pool's parallelFor, or inline with one host worker) WITHOUT
+     * charging anything. The balanced scheduler and the async
+     * window need the exact per-op cycle charges before laying out
+     * lanes; the other rules simply charge them afterwards.
      * @p dispatch is the dispatch sequence number (fault coordinate).
      */
-    void preExecuteOutcomes(const BatchRequest &batch,
-                            std::uint64_t dispatch);
+    void executeOps(const BatchRequest &batch, std::uint64_t dispatch);
 
     /**
      * Balanced-routing phase 2: LPT list scheduling over the cached
@@ -739,14 +740,12 @@ class Scu
     bool collectFailures(std::uint64_t dispatch);
 
     /**
-     * Route stage plus the lane build: Balanced pre-executes the
-     * batch and schedules it, the other rules resolve each op; with
-     * @p execute_all every routing mode pre-executes (the window
-     * needs each op's cost before laying out lanes). Returns the
-     * lane count.
+     * Execute stage (executeOps), route stage, and the lane build:
+     * Balanced schedules the executed batch, the other rules resolve
+     * each op. Returns the lane count.
      */
     std::uint32_t routeBatch(const BatchRequest &batch,
-                             std::uint64_t dispatch, bool execute_all);
+                             std::uint64_t dispatch);
 
     /**
      * The LPT list-scheduling sweep: sort @p order by descending op
@@ -782,9 +781,10 @@ class Scu
 
     /**
      * Barrier-only dead-lane recovery: watchdog timeout, quarantine
-     * of failedVaults_, re-routing of the stranded ops of the lanes
-     * laneDead_ marks, and their replay on appended recovery lanes.
-     * Returns the cycles it adds to the makespan.
+     * of failedVaults_, re-routing of the stranded (already
+     * executed) ops of the lanes laneDead_ marks, and their charge
+     * replay on appended recovery lanes. Returns the cycles it adds
+     * to the makespan.
      */
     mem::Cycles recoverFailedLanes(sim::SimContext &ctx,
                                    sim::ThreadId tid,
@@ -792,53 +792,49 @@ class Scu
                                    std::uint64_t dispatch);
 
     /**
-     * Operand-fetch dedup of one charging worker: which remote
-     * operands its current lane already pulled. A flat table indexed
-     * by SetId holds the lane epoch of each id's last fetch; starting
-     * a lane bumps the epoch, so nothing is cleared per lane, a
-     * lookup-and-insert is one compare and one store, and the table
-     * keeps its capacity across dispatches (it grows to the highest
-     * fetched id, 4 B per id).
+     * Operand-fetch dedup of the lane being charged: which remote
+     * operands it already pulled. A flat table indexed by SetId holds
+     * the lane epoch of each id's last fetch; starting a lane bumps
+     * the epoch, so nothing is cleared per lane, a lookup-and-insert
+     * is one compare and one store, and the table keeps its capacity
+     * across dispatches (it grows to the highest fetched id, 4 B per
+     * id).
      */
-    struct alignas(64) FetchDedup
+    struct FetchDedup
     {
         std::vector<std::uint32_t> epochOf; ///< SetId -> lane epoch.
         std::uint32_t epoch = 0;            ///< Current lane's epoch.
-        std::uint32_t lane = UINT32_MAX;    ///< Lane of that epoch.
 
-        /** Start lane @p l: every id counts as not yet fetched. */
-        void beginLane(std::uint32_t l);
+        /** Start a lane: every id counts as not yet fetched. */
+        void beginLane();
 
         /** True the first time @p id is fetched in the current lane. */
         bool firstFetch(SetId id);
     };
 
     /**
-     * Reset the first @p workers charge-scratch entries for a
-     * dispatch of @p lanes lanes: worker w's context gets one
-     * modeled thread per lane it owns (l % workers == w) and is
-     * bound to @p query, and its dedup starts with no current lane.
-     * Allocates only when a dispatch is wider (more workers or more
-     * lanes per worker) than every one before it.
+     * Reset laneCtx_ for a dispatch of @p lanes lanes (one modeled
+     * thread per lane, tagged with @p query). Allocates only when a
+     * dispatch has more lanes than every one before it.
      */
-    std::span<sim::SimContext> resetChargeScratch(std::uint32_t workers,
-                                                  std::uint32_t lanes,
-                                                  sim::QueryId query);
+    void resetLaneCharge(std::uint32_t lanes, sim::QueryId query);
 
     /**
      * The accounting half of batched op @p i on lane @p l: remote
-     * co-operand transfer (deduped per lane by @p fetched, drop/
+     * co-operand transfer (deduped per lane by fetched_, drop/
      * retransmit and checksum fault hooks behind the faults_ gate),
      * injected lane stalls, the op's cached charges, and the result
-     * checksum verify -- charged to modeled thread @p lane_tid of
-     * @p wctx. Shared by the barriered worker charge path, the
-     * permanent-failure recovery replay, and the async window's
-     * virtual-time accounting, so all three bill one rule.
+     * checksum verify -- charged to modeled thread @p l of laneCtx_.
+     * Shared by the barrier, the permanent-failure recovery replay,
+     * and the async window's virtual-time accounting, so all three
+     * bill one rule. The caller starts each lane with
+     * fetched_.beginLane().
      */
-    void chargeLaneOp(sim::SimContext &wctx, sim::ThreadId lane_tid,
-                      FetchDedup &fetched,
-                      std::uint32_t l, std::uint32_t i,
+    void chargeLaneOp(std::uint32_t l, std::uint32_t i,
                       std::uint64_t dispatch_idx);
+
+    /** chargeLaneOp over every op of lane @p l, in lane order. */
+    void chargeLane(std::uint32_t l, std::uint64_t dispatch_idx);
 
     // --- Async dispatch window (dispatchAsync) ------------------------
 
@@ -966,9 +962,6 @@ class Scu
             demand_.addLane(vault, cycles);
     }
 
-    /** Effective host worker count for batched dispatch. */
-    std::uint32_t batchWorkerCount() const;
-
     /**
      * Result footprint of @p outcome in bytes, as moved by the
      * cross-vault reduction tree (SA payloads at 4 B/element, DB
@@ -981,6 +974,8 @@ class Scu
 
     SetStore &store_;
     ScuConfig config_;
+    /** Host worker count for batched execution (batchWorkers, resolved). */
+    std::uint32_t hostWorkers_;
     /** Routing view of the installed policy (reads only). */
     std::shared_ptr<const PlacementPolicy> placement_;
     /**
@@ -1034,7 +1029,6 @@ class Scu
     std::vector<std::uint32_t> vaultLane_; ///< vault -> lane or ~0u.
     std::vector<std::uint32_t> laneVault_; ///< lane -> vault (reset list).
     std::vector<std::vector<std::uint32_t>> laneOps_;
-    std::vector<std::uint32_t> laneSizes_; ///< lane -> op count.
     std::vector<OpOutcome> outcomes_;
     std::vector<OpRoute> routes_; ///< op -> routing decision.
     std::vector<std::uint64_t> laneResultBytes_;
@@ -1052,25 +1046,22 @@ class Scu
     std::unordered_map<SetId, std::vector<std::uint32_t>>
         schedFetchedVaults_;
     /**
-     * Per-lane (remote operand, bytes) transfers the workers charged
-     * this dispatch, recorded only while a DynamicPlacement policy
-     * is installed -- the barrier feeds them to the policy verbatim,
-     * so heat can never drift from what was billed. Each lane is
-     * written by exactly one worker.
+     * Per-lane (remote operand, bytes) transfers charged this
+     * dispatch, recorded only while a DynamicPlacement policy is
+     * installed -- the barrier feeds them to the policy verbatim, so
+     * heat can never drift from what was billed.
      */
     std::vector<std::vector<std::pair<SetId, std::uint64_t>>>
         laneFetched_;
     /**
-     * Per-dispatch charge scratch, one entry per host worker, reset
-     * by each dispatch with its capacity kept: the barrier's private
-     * lane contexts (worker w charges lanes l with l % workers == w
-     * as its modeled thread l / workers; the window charges into
-     * entry 0) and the workers' fetch dedup tables (the recovery
-     * replay reuses entry 0's). With them a fault-free 1-worker
+     * Per-dispatch charge scratch, reset by each dispatch with its
+     * capacity kept: the lane context (lane l charges its modeled
+     * thread l; its counters merge into the issuing context) and the
+     * lanes' fetch dedup table. With them a fault-free 1-worker
      * barriered dispatch allocates only its BatchResult.entries.
      */
-    std::vector<sim::SimContext> workerCtx_;
-    std::vector<FetchDedup> fetchDedup_;
+    sim::SimContext laneCtx_{1};
+    FetchDedup fetched_;
     /** lane -> 1 if its vault failed at this dispatch (recovery). */
     std::vector<char> laneDead_;
     std::size_t scratchPeak_ = 0;       ///< Max batch size this window.

@@ -3,7 +3,7 @@
  * Host allocation contract of batched dispatch: once warm, a
  * fault-free 1-worker barriered dispatch allocates nothing per op --
  * its only heap allocation is the BatchResult.entries it returns.
- * The per-worker lane contexts, the operand-fetch dedup tables and
+ * The lane charge context, the operand-fetch dedup table and
  * the result-ticket node are SCU scratch reused across dispatches.
  *
  * This binary replaces the global operator new with a counting one,

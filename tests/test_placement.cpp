@@ -10,16 +10,19 @@
  * the dispatch-scratch shrink policy. The differential suite runs
  * every policy x routing combination under forced 1-worker and
  * 2-vault configurations as well as the defaults (multi-worker runs
- * exercise the vault pool's work stealing).
+ * execute ops on the vault pool), and adopted pools of any size must
+ * match a 1-worker run.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <memory>
 #include <random>
 #include <set>
+#include <string>
 #include <string_view>
 #include <tuple>
 #include <vector>
@@ -528,7 +531,7 @@ TEST(LastBackend, BatchTailShortCircuitAgreesWithSerial)
 TEST(RemoteDedup, ChargesOncePerVaultOperandPairUnderInterleaving)
 {
     // Interleaved repeats of two remote co-operands in one lane: the
-    // per-worker fetch set must still charge each operand exactly
+    // lane's fetch dedup must still charge each operand exactly
     // once regardless of arrival order (b2, b1, b2, b1).
     ScuConfig config;
     SetStore store(4096);
@@ -650,6 +653,83 @@ TEST(RemoteDedup, MatchesDistinctLaneOperandPairOracle)
                           want_transfers);
                 EXPECT_EQ(ctx.counter("setops.xvault_bytes"), want_bytes);
             }
+        }
+    }
+}
+
+// --- Adopted host pools ------------------------------------------------------
+
+TEST(AdoptedPool, AnyPoolSizeMatchesOneWorker)
+{
+    // A pool adopted from elsewhere (the serving layer shares one
+    // among its sessions) only executes operations, whatever its
+    // size relative to the SCU's batchWorkers: results, makespan and
+    // every counter equal a 1-worker run on the default 512 vaults.
+    struct Outcome
+    {
+        std::vector<std::uint64_t> values;
+        std::vector<std::vector<Element>> sets;
+        mem::Cycles makespan = 0;
+        std::map<std::string, std::uint64_t> counters;
+    };
+    const auto run = [](Routing routing, std::uint32_t workers,
+                        std::uint32_t pool_threads) {
+        ScuConfig config;
+        config.batchWorkers = workers;
+        config.routing = routing;
+        SetStore store(4096);
+        Scu scu(store, config, 1);
+        if (pool_threads)
+            scu.adoptPool(std::make_shared<VaultWorkerPool>(pool_threads));
+        std::mt19937_64 rng(65);
+        std::vector<SetId> ids;
+        for (int s = 0; s < 65; ++s) {
+            std::vector<Element> elems;
+            while (elems.size() < 300) {
+                elems.push_back(static_cast<Element>(rng() % 4096));
+                std::sort(elems.begin(), elems.end());
+                elems.erase(std::unique(elems.begin(), elems.end()),
+                            elems.end());
+            }
+            ids.push_back(
+                store.createFromSorted(elems, SetRepr::SparseArray));
+        }
+        SimContext ctx(1);
+        Outcome out;
+        for (int d = 0; d < 3; ++d) {
+            BatchRequest req;
+            for (int i = 0; i < 64; ++i) {
+                const SetId a = ids[rng() % ids.size()];
+                const SetId b = ids[rng() % ids.size()];
+                if (d == 2 && i % 2)
+                    req.intersect(a, b);
+                else
+                    req.intersectCard(a, b);
+            }
+            const BatchResult res = scu.dispatchBatch(ctx, 0, req);
+            for (const BatchEntry &entry : res.entries) {
+                out.values.push_back(entry.value);
+                if (entry.set != invalid_set) {
+                    const auto elems = store.sa(entry.set).elements();
+                    out.sets.emplace_back(elems.begin(), elems.end());
+                }
+            }
+        }
+        out.makespan = ctx.threadCycles(0);
+        out.counters = ctx.counters();
+        return out;
+    };
+    for (const Routing routing : {Routing::Primary, Routing::Balanced}) {
+        const Outcome want = run(routing, 1, 0);
+        for (const std::uint32_t pool_threads : {1u, 2u, 8u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "routing=" << routingName(routing)
+                         << " pool=" << pool_threads);
+            const Outcome got = run(routing, 4, pool_threads);
+            EXPECT_EQ(got.values, want.values);
+            EXPECT_EQ(got.sets, want.sets);
+            EXPECT_EQ(got.makespan, want.makespan);
+            EXPECT_EQ(got.counters, want.counters);
         }
     }
 }
